@@ -33,7 +33,7 @@ def main():
     i = int(np.argmin(np.abs(g.nodes - mode)))
     print(f"\nsingle log-normal sample, N = {x.size}:")
     print(f"  final diffusion time t*:     {report.t_star:.5f}")
-    print(f"  solver steps taken:          {sol.solver_stats['steps']}")
+    print(f"  resolvent solves:            {sol.solver_stats['steps']}")
     print(f"  true density at the mode:    {mix.pdf([mode])[0]:.3f}")
     print(f"  adaptive estimate there:     {sol.estimate.values[i]:.3f}")
     far = g.nodes >= 10.0

@@ -31,7 +31,6 @@ from .diffusion import (
     lf_norm,
     sigma_inv_mean,
     solve_diffusion,
-    t2_second_stage,
 )
 from .grids import (
     BinnedHistogram,

@@ -164,7 +164,14 @@ def _select(sample, l: int, n: int, pad_fraction: float, seed_norm=None):
         # bracketed fallback on t - xi*gamma(t)
         h = lambda t: t - xi_gamma(t)
         a, b = 1e-12, 1.0
-        if h(a) * h(b) < 0:
+        try:
+            hb = h(b)
+        except ArithmeticError:
+            # the stage functionals underflow to zero at large t; bracket
+            # on [0, 0.1] instead, as the paper's reference code does
+            b = 0.1
+            hb = h(b)
+        if h(a) * hb < 0:
             z = brentq(h, a, b, xtol=1e-14)
             converged = True
         else:

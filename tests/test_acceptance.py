@@ -45,7 +45,7 @@ from diffkde import (
     theta_sample,
     trapezoid_weights,
 )
-from diffkde.diffusion import _operator_bands, _step
+from diffkde.diffusion import _operator_bands
 from diffkde.kde2d import bin_linear_2d as _b2
 from diffkde.testbed import registry, run_benchmark
 
@@ -210,11 +210,11 @@ def test_criterion_07_pde_property_suite(capsys):
     p /= integrate(p, g)
     pm = PilotModel(g, p, 1.0)
     x = np.clip(np.random.default_rng(4).normal(size=300), -5.9, 5.9)
-    # mass conserved at every step
+    # mass conserved over 50 successive short solves
     bands = _operator_bands(pm)
     u = bin_linear(x, g).weights / trapezoid_weights(g)
     for _ in range(50):
-        u = _step(bands, u, 2e-4, 0.5)
+        u = solve_diffusion(u, pm, 2e-4).estimate.values
         if abs(integrate(u, g) - 1.0) > 1e-8:
             fails.append("mass")
             break
@@ -222,11 +222,11 @@ def test_criterion_07_pde_property_suite(capsys):
     stat = solve_diffusion(pm.p.copy(), pm, 0.5).estimate.values
     if np.max(np.abs(stat - pm.p)) > 1e-8 * pm.p.max():
         fails.append("stationarity")
-    # composition in t with a shared uniform step
+    # composition in t: exp(0.01 M) exp(0.01 M) u = exp(0.02 M) u
     ic = bin_linear(x, g)
-    half = solve_diffusion(ic, pm, 0.01, fixed_steps=64)
-    full = solve_diffusion(half.estimate.values, pm, 0.01, fixed_steps=64)
-    direct = solve_diffusion(ic, pm, 0.02, fixed_steps=128)
+    half = solve_diffusion(ic, pm, 0.01)
+    full = solve_diffusion(half.estimate.values, pm, 0.01)
+    direct = solve_diffusion(ic, pm, 0.02)
     if np.max(np.abs(full.estimate.values - direct.estimate.values)) > 1e-8:
         fails.append("composition")
     # detailed balance of the generator
@@ -268,7 +268,7 @@ def test_criterion_08_small_time_kernel_approximation(capsys):
     x, y = g.nodes[ix], g.nodes[iy]
     devs = []
     for t in (1e-2, 1e-3, 1e-4):
-        kp = solve_diffusion(ic, pm, t, tol=1e-10, rannacher=8).estimate.values[ix]
+        kp = solve_diffusion(ic, pm, t).estimate.values[ix]
         devs.append(abs(kp / asymptotic_kernel(x, y, t, pm) - 1.0))
     ok = devs[0] > devs[1] > devs[2] and devs[2] < 0.05
     _emit(capsys, 8, ok,

@@ -190,6 +190,20 @@ class TestIsjSelect:
             rep = isj_select(x)
             assert rep.converged and rep.iterations < 100, name
 
+    def test_slow_iteration_falls_back_to_a_valid_bracket(self):
+        # on this sample the iteration contracts too slowly to reach its
+        # absolute stop in 100 steps, and the stage chain underflows at
+        # t = 1, the fallback bracket's default upper end
+        from diffkde.testbed import registry
+        x = registry()["bimodal_pm2"].sample(1000, np.random.default_rng(1493))
+        binned, grid = _unit_binned(x, 2 ** 12, 0.1)
+        with pytest.raises(ArithmeticError):
+            gamma_chain(1.0, 5, binned, x.size)
+        rep = isj_select(x, n=2 ** 12)
+        assert rep.converged and rep.iterations == 100
+        z = rep.t_star / grid.range ** 2
+        assert XI * gamma_chain(z, 5, binned, x.size)[0] == pytest.approx(z, rel=1e-9)
+
     def test_low_sample_fallback(self):
         x = np.random.default_rng(19).normal(size=20)
         with pytest.warns(UserWarning, match="below 30"):
