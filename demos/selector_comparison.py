@@ -2,8 +2,8 @@
 
 The classic two-stage plug-in seeds its derivative-norm chain with a
 normal-reference rule, which over-smooths multimodal targets.  The
-fixed-point selector removes that assumption by iterating the stage map
-to self-consistency.  On well separated modes the difference is
+fixed-point selector removes that assumption by solving the stage map
+for self-consistency.  On well separated modes the difference is
 dramatic; on a near-normal target the two agree.
 
 Run:  python3 demos/selector_comparison.py

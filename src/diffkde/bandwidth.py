@@ -5,7 +5,9 @@ which needs no reference distribution, and the classical multi-stage
 selector whose top stage is seeded by a normal reference rule.  All
 computation happens on the sample mapped to [0, 1]; the returned t is
 rescaled by the squared data range, which makes both selectors affine
-equivariant by construction.
+equivariant by construction.  The cosine moments of the binned sample are
+computed once per selection and held in a spectrum that every stage
+functional reads.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .grids import BinnedHistogram, Grid1D, _as_sample, bin_linear, cosine_moments
 
@@ -23,11 +24,25 @@ from .grids import BinnedHistogram, Grid1D, _as_sample, bin_linear, cosine_momen
 XI = ((6.0 * np.sqrt(2.0) - 3.0) / 7.0) ** 0.4
 
 _MIN_N = 30
-_MAX_ITER = 100
+
+# The smallest fixed point is sought on the paper's unit-scale bracket
+# [0, 0.1], scanned on a log ladder whose neighbours differ by 1.9x (a 10x
+# ladder can hold three roots in one step), then refined to a relative
+# bracket width of _RTOL.
+_LADDER = np.geomspace(1e-12, 0.1, 41)
+_RTOL = 1e-13
+_MAX_REFINE = 100
 
 
 @dataclass
 class BandwidthReport:
+    """Outcome of a bandwidth selection.
+
+    ``iterations`` counts evaluations of the fixed-point map gamma (0 for
+    the reference-seeded selectors, which evaluate it once and solve
+    nothing).
+    """
+
     t_star: float
     t2_star: float
     iterations: int
@@ -48,6 +63,30 @@ def gaussian_reference_norm(j: int, sigma: float) -> float:
     return _double_factorial_odd(j) / (2 ** (j + 1) * np.sqrt(np.pi) * sigma ** (2 * j + 1))
 
 
+class _Spectrum:
+    """Cosine power of one binned unit-interval sample, computed once.
+
+    Holds c_k^2 and (pi k)^2 for k >= 1 and caches c_k^2 (pi k)^{2j} per
+    derivative order, so each functional estimate is one exp and one dot.
+    """
+
+    def __init__(self, weights):
+        c = cosine_moments(weights)[1:]
+        self.c2 = c * c
+        self.k2 = (np.pi * np.arange(1, c.size + 1)) ** 2
+        self._weighted = {}
+
+    def norm(self, j: int, t: float) -> float:
+        p = self._weighted.get(j)
+        if p is None:
+            p = self._weighted[j] = self.c2 * self.k2 ** j
+        return float(2.0 * (p @ np.exp(-self.k2 * t)))
+
+
+def _spectrum(binned) -> _Spectrum:
+    return binned if isinstance(binned, _Spectrum) else _Spectrum(binned.weights)
+
+
 def functional_norm(binned: BinnedHistogram, j: int, t_j: float) -> float:
     """Estimate ||f^(j)||^2 of the unit-interval density at pilot time t_j.
 
@@ -55,14 +94,15 @@ def functional_norm(binned: BinnedHistogram, j: int, t_j: float) -> float:
     moments c_k of the binned weights,
 
         ||f^(j)||^2 ~= 2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t_j).
+
+    ``binned`` is a binned histogram, whose moments are computed here, or
+    the spectrum a selector holds for its sample.
     """
     if not t_j > 0:
         raise ValueError("t_j must be positive")
     if j < 1:
         raise ValueError("j must be >= 1")
-    c = cosine_moments(binned.weights)[1:]
-    k2 = (np.pi * np.arange(1, c.size + 1)) ** 2
-    return float(2.0 * np.sum(c * c * k2 ** j * np.exp(-k2 * t_j)))
+    return _spectrum(binned).norm(j, t_j)
 
 
 def stage_t(j: int, norm_next: float, N: int) -> float:
@@ -83,15 +123,18 @@ def gamma_chain(t: float, l: int, binned: BinnedHistogram, N: int):
     Interprets t as the pilot time for ||f^(l+1)||^2 and returns the
     stage-1 output *t_1, the intermediate stage times {j: *t_j} and the
     functional estimates {j+1: ||f^(j+1)||^2} gathered along the way.
+    ``binned`` is a binned histogram or a held spectrum, as in
+    :func:`functional_norm`.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if not t > 0:
         raise ValueError("t must be positive")
+    spectrum = _spectrum(binned)
     times = {}
     norms = {}
     for j in range(l, 0, -1):
-        norm = functional_norm(binned, j + 1, t)
+        norm = functional_norm(spectrum, j + 1, t)
         if not (np.isfinite(norm) and norm > 0):
             raise ArithmeticError(f"stage j={j}: nonpositive functional estimate")
         t = stage_t(j, norm, N)
@@ -111,6 +154,61 @@ def _unit_binned(sample, n: int, pad_fraction: float):
     return bin_linear(x, grid), grid
 
 
+def _smallest_fixed_point(f):
+    """Smallest root of h(t) = t - f(t) on the unit-scale bracket [0, 0.1].
+
+    Scans the log ladder ``_LADDER`` upwards for the first sign change of
+    h, then refines that bracket by Illinois regula falsi to relative width
+    ``_RTOL``.  Returns the root and the number of evaluations of f.
+    Raises ArithmeticError when the scan ends without a sign change, or
+    when f fails (e.g. an underflowing stage) before one.
+    """
+    calls = 0
+
+    def h(t):
+        nonlocal calls
+        calls += 1
+        v = t - f(t)
+        if not np.isfinite(v):
+            raise ArithmeticError("non-finite fixed-point residual")
+        return v
+
+    a = fa = None
+    try:
+        for b in _LADDER:
+            fb = h(b)
+            if fb == 0.0:
+                return float(b), calls
+            if fa is not None and (fa < 0.0) != (fb < 0.0):
+                break
+            a, fa = b, fb
+        else:
+            raise ArithmeticError("no sign change on the ladder")
+    except ArithmeticError as err:
+        raise ArithmeticError("selector failed: no fixed point found") from err
+
+    # Illinois: halve the stale end's residual when one end is kept twice
+    c, side = b, 0
+    for _ in range(_MAX_REFINE):
+        if b - a <= _RTOL * b:
+            return float(c), calls
+        c = b - fb * (b - a) / (fb - fa)
+        fc = h(c)
+        if fc == 0.0:
+            return float(c), calls
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5
+            side = 1
+    raise ArithmeticError("selector failed: fixed-point refinement stalled")
+
+
 def _select(sample, l: int, n: int, pad_fraction: float, seed_norm=None):
     """Shared driver for both selectors; seed_norm switches the mode.
 
@@ -121,11 +219,12 @@ def _select(sample, l: int, n: int, pad_fraction: float, seed_norm=None):
     x = _as_sample(sample)
     N = x.size
     binned, grid = _unit_binned(x, n, pad_fraction)
+    spectrum = _Spectrum(binned.weights)
     R2 = grid.range ** 2
 
     if seed_norm is not None:
         t = stage_t(l + 1, seed_norm(l + 2), N)
-        t1, times, norms = gamma_chain(t, l, binned, N)
+        t1, times, norms = gamma_chain(t, l, spectrum, N)
         times[l + 1] = t
         report = BandwidthReport(
             t_star=XI * t1 * R2,
@@ -138,52 +237,15 @@ def _select(sample, l: int, n: int, pad_fraction: float, seed_norm=None):
         )
         return report
 
-    def xi_gamma(t):
-        return XI * gamma_chain(t, l, binned, N)[0]
-
-    eps = float(np.finfo(float).eps)
-    z = eps
-    converged = False
-    iterations = 0
-    prev_step = None
-    damped = False
-    for iterations in range(1, _MAX_ITER + 1):
-        z_new = xi_gamma(z)
-        if damped:
-            z_new = 0.5 * (z + z_new)
-        step = z_new - z
-        if prev_step is not None and iterations > 20 and step * prev_step < 0:
-            damped = True
-        prev_step = step
-        if abs(step) < eps:
-            z = z_new
-            converged = True
-            break
-        z = z_new
-    if not converged:
-        # bracketed fallback on t - xi*gamma(t)
-        h = lambda t: t - xi_gamma(t)
-        a, b = 1e-12, 1.0
-        try:
-            hb = h(b)
-        except ArithmeticError:
-            # the stage functionals underflow to zero at large t; bracket
-            # on [0, 0.1] instead, as the paper's reference code does
-            b = 0.1
-            hb = h(b)
-        if h(a) * hb < 0:
-            z = brentq(h, a, b, xtol=1e-14)
-            converged = True
-        else:
-            raise ArithmeticError("selector failed: no fixed point found")
-
-    t1, times, norms = gamma_chain(z, l, binned, N)
+    z, evaluations = _smallest_fixed_point(
+        lambda t: XI * gamma_chain(t, l, spectrum, N)[0])
+    t1, times, norms = gamma_chain(z, l, spectrum, N)
     return BandwidthReport(
         t_star=z * R2,
         t2_star=times[2] * R2,
-        iterations=iterations,
+        iterations=evaluations,
         functional_norms=norms,
-        converged=converged,
+        converged=True,
         method="isj",
         pad_fraction=pad_fraction,
     )
@@ -192,9 +254,11 @@ def _select(sample, l: int, n: int, pad_fraction: float, seed_norm=None):
 def isj_select(sample, l: int = 5, n: int = 2 ** 14, pad_fraction: float = 0.1) -> BandwidthReport:
     """Fixed-point plug-in selector: solve t = xi * gamma^[l](t).
 
-    Iteration starts from machine epsilon, with damping after oscillation
-    and a bracketed root fallback.  Samples below 30 points fall back to
-    the normal-reference selector with ``low_sample`` flagged.
+    Returns the smallest root on the unit-scale bracket [0, 0.1], found by
+    :func:`_smallest_fixed_point` from the cosine moments of the binned
+    sample, computed once.  Raises ArithmeticError when the bracket holds
+    no root.  Samples below 30 points fall back to the normal-reference
+    selector with ``low_sample`` flagged.
     """
     x = _as_sample(sample)
     if x.size < _MIN_N:

@@ -9,11 +9,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import norm
 
 from .grids import _as_sample
-from .kde1d import SQRT_2PI, gauss_kde_exact
+from .kde1d import SQRT_2PI, _normal_cdf, _normal_pdf, gauss_kde_exact
 
 _LADDER_SIZE = 61
 _LADDER_REL = (1e-4, 1.0)  # bounds as fractions of squared data range
@@ -43,6 +41,7 @@ def _lscv_score(d2: np.ndarray, N: int, t: float) -> float:
 
 def lscv_select(sample) -> LscvResult:
     """Least-squares cross-validation on a log ladder with local refinement."""
+    from scipy.optimize import minimize_scalar  # deferred: slow to import
     x = _as_sample(sample)
     N = x.size
     if N < 10:
@@ -134,13 +133,13 @@ def hall_park_estimate(sample, xs, t: float, beta: float,
     f0 = gauss_kde_exact(x, xs, t)
     z = (xs[:, None] - x[None, :]) / h
     df0 = (-z * np.exp(-0.5 * z * z)).mean(axis=1) / (SQRT_2PI * t)
-    rho = -norm.pdf(u) / norm.cdf(u)
+    rho = -_normal_pdf(u) / _normal_cdf(u)
     # log-derivative of the shiftless (mass-renormalized) estimator
     # f0 / Phi(u): the raw-KDE term plus the boundary renormalization term
-    dlog = df0 / np.maximum(f0, f0_floor) + norm.pdf(u) / (h * norm.cdf(u))
+    dlog = df0 / np.maximum(f0, f0_floor) + _normal_pdf(u) / (h * _normal_cdf(u))
     alpha = np.where(f0 > f0_floor, t * dlog * rho, 0.0)
     if not apply_shift:
         alpha = np.zeros_like(alpha)
     zz = (xs[:, None] - x[None, :] + alpha[:, None]) / h
     num = np.exp(-0.5 * zz * zz).sum(axis=1) / (SQRT_2PI * h)
-    return num / (x.size * norm.cdf(u))
+    return num / (x.size * _normal_cdf(u))

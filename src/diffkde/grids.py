@@ -118,12 +118,14 @@ def bin_linear(sample, grid: Grid1D) -> BinnedHistogram:
     x = _as_sample(sample)
     if x.min() < grid.lo or x.max() > grid.hi:
         raise ValueError("sample point outside grid")
-    pos = (x - grid.lo) / grid.step
-    idx = np.minimum(pos.astype(np.int64), grid.n - 2)
-    frac = pos - idx
-    w = np.zeros(grid.n)
-    np.add.at(w, idx, 1.0 - frac)
-    np.add.at(w, idx + 1, frac)
+    pos = x - grid.lo
+    pos /= grid.step
+    idx = pos.astype(np.int64)
+    np.minimum(idx, grid.n - 2, out=idx)
+    pos -= idx  # node idx gets 1 - pos per point, node idx + 1 gets pos
+    right = np.bincount(idx, pos, grid.n)
+    w = np.bincount(idx, minlength=grid.n) - right
+    w[1:] += right[:-1]
     return BinnedHistogram(grid, w / x.size)
 
 

@@ -9,6 +9,7 @@ density and removes the factor-two bias at the endpoints.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtr
 
 from .grids import (
     BinnedHistogram,
@@ -26,6 +27,17 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 # converged well past machine precision at this scale.
 _THETA_SWITCH_T = 0.01
 _LOG_TINY = 40.0  # exp(-40) < 5e-18, safely below every tolerance used here
+
+
+def _normal_pdf(x, mean=0.0, std=1.0) -> np.ndarray:
+    """N(mean, std^2) density, in the floating-point steps of scipy.stats.norm."""
+    z = (np.asarray(x, dtype=float) - mean) / std
+    return np.exp(-z ** 2 / 2.0) / SQRT_2PI / std
+
+
+def _normal_cdf(x, mean=0.0, std=1.0) -> np.ndarray:
+    """N(mean, std^2) distribution function, as scipy.stats.norm.cdf."""
+    return ndtr((np.asarray(x, dtype=float) - mean) / std)
 
 
 def _phi(u: np.ndarray, t: float) -> np.ndarray:

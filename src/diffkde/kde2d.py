@@ -3,8 +3,10 @@ masked-domain heat solver for densities supported on irregular regions.
 
 The selector is the 2D analogue of the fixed-point plug-in rule: a
 recursion over mixed derivative functionals psi_{i,j} on the unit
-square, solved as a fixed point of gamma(t) = t, followed by diagonal
-bandwidth entries computed from the converged level-2 functionals.
+square, solved for the smallest fixed point of gamma(t) = t, followed by
+diagonal bandwidth entries computed from the level-2 functionals at that
+root.  The 2D cosine moments of the binned sample are computed once per
+selection and held in a spectrum that every functional reads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import ndimage, sparse
 from scipy.sparse.linalg import splu
 
-from .bandwidth import BandwidthReport, gaussian_reference_norm
+from .bandwidth import BandwidthReport, _smallest_fixed_point, gaussian_reference_norm
 from .grids import Grid1D, cosine_moments, cosine_synthesis, trapezoid_weights
 
 
@@ -111,11 +113,13 @@ def bin_linear_2d(points, grid: Grid2D) -> BinnedHistogram2D:
         idx.append(i)
         frac.append(pos - i)
     fx, fy = frac
+    n2 = grid.x2.n
+    flat = idx[0] * n2 + idx[1]
     for dx in (0, 1):
         for dy in (0, 1):
             wx = fx if dx else 1.0 - fx
             wy = fy if dy else 1.0 - fy
-            np.add.at(w, (idx[0] + dx, idx[1] + dy), wx * wy)
+            w += np.bincount(flat + (dx * n2 + dy), wx * wy, w.size).reshape(w.shape)
     return BinnedHistogram2D(grid, w / p.shape[0])
 
 
@@ -135,6 +139,37 @@ def q_const(j: int) -> float:
     return (-1.0) ** j * dfact / np.sqrt(2.0 * np.pi)
 
 
+class _Spectrum2D:
+    """Cosine power c_kl^2 of one binned unit-square sample, computed once.
+
+    Caches the axis factors w_k (pi k)^{2i} per axis and derivative order,
+    so each mixed functional is two exps and one bilinear form.
+    """
+
+    def __init__(self, weights):
+        c = cosine_moments(cosine_moments(weights, axis=0), axis=1)
+        self.c2 = c * c
+        self.k2 = [(np.pi * np.arange(n)) ** 2 for n in c.shape]
+        self._weighted = {}
+
+    def _axis(self, axis: int, i: int, t: float) -> np.ndarray:
+        k2 = self.k2[axis]
+        p = self._weighted.get((axis, i))
+        if p is None:
+            w = np.where(k2 == 0.0, 1.0, 2.0)
+            p = self._weighted[(axis, i)] = w * k2 ** i
+        return p * np.exp(-k2 * t)
+
+    def psi(self, i: int, j: int, t: float) -> float:
+        return float((-1.0) ** (i + j) * (self._axis(0, i, t) @ self.c2 @ self._axis(1, j, t)))
+
+
+def _spectrum_2d(binned2d) -> _Spectrum2D:
+    if isinstance(binned2d, _Spectrum2D):
+        return binned2d
+    return _Spectrum2D(binned2d.weights)
+
+
 def psi_hat(i: int, j: int, t_ij: float, binned2d: BinnedHistogram2D) -> float:
     """Plug-in estimate of the mixed functional E[f^(2i,2j)(X)] at pilot
     time t_ij, on the unit square.
@@ -147,20 +182,12 @@ def psi_hat(i: int, j: int, t_ij: float, binned2d: BinnedHistogram2D) -> float:
 
     w_k = 1 for k = 0 and 2 otherwise.  This signed convention is what
     makes the stage recursion's bracket positive at every level.
+    ``binned2d`` is a binned histogram, whose moments are computed here,
+    or the spectrum a selector holds for its sample.
     """
     if not t_ij > 0:
         raise ValueError("t_ij must be positive")
-    c = cosine_moments(cosine_moments(binned2d.weights, axis=0), axis=1)
-    n1, n2 = c.shape
-    k = np.arange(n1)
-    l = np.arange(n2)
-    wk = np.where(k == 0, 1.0, 2.0)
-    wl = np.where(l == 0, 1.0, 2.0)
-    kx = (np.pi * k) ** 2
-    ly = (np.pi * l) ** 2
-    term = (wk * kx ** i * np.exp(-kx * t_ij))[:, None] * (
-        wl * ly ** j * np.exp(-ly * t_ij))[None, :]
-    return float((-1.0) ** (i + j) * np.sum(term * c * c))
+    return _spectrum_2d(binned2d).psi(i, j, t_ij)
 
 
 def t_stage_2d(i: int, j: int, psi_ip1_j: float, psi_i_jp1: float, N: int) -> float:
@@ -173,7 +200,7 @@ def t_stage_2d(i: int, j: int, psi_ip1_j: float, psi_i_jp1: float, N: int) -> fl
     return val ** (1.0 / (2 + i + j))
 
 
-def _gamma_levels(t, k, binned2d, N, seed_level=None):
+def _gamma_levels(t, k, spectrum, N, seed_level=None):
     """Run the psi/t recursion from level k down to 2.
 
     Level m holds {psi_hat_{i,j}: i+j=m}.  With seed_level given (a dict
@@ -189,7 +216,7 @@ def _gamma_levels(t, k, binned2d, N, seed_level=None):
         times = {(i, k - i): t for i in range(k + 1)}
     level = k
     while True:
-        psis = {(i, j): psi_hat(i, j, times[(i, j)], binned2d)
+        psis = {(i, j): psi_hat(i, j, times[(i, j)], spectrum)
                 for (i, j) in times}
         if level == 2:
             return psis
@@ -201,12 +228,16 @@ def _gamma_levels(t, k, binned2d, N, seed_level=None):
 
 
 def gamma_2d(t: float, k: int, binned2d: BinnedHistogram2D, N: int):
-    """gamma(t) of the 2D fixed-point rule; also returns the level-2 set."""
+    """gamma(t) of the 2D fixed-point rule; also returns the level-2 set.
+
+    ``binned2d`` is a binned histogram or a held spectrum, as in
+    :func:`psi_hat`.
+    """
     if k < 3:
         raise ValueError("k must be >= 3")
     if not t > 0:
         raise ValueError("t must be positive")
-    psis = _gamma_levels(t, k, binned2d, N)
+    psis = _gamma_levels(t, k, _spectrum_2d(binned2d), N)
     g = (2.0 * np.pi * N * (psis[(0, 2)] + psis[(2, 0)] + 2.0 * psis[(1, 1)])) ** (
         -1.0 / 3.0)
     return g, psis
@@ -231,37 +262,25 @@ def _unit_binned_2d(points, n, pad_fraction):
 def isj2d_select(points, k: int = 4, n: int = 2 ** 8, pad_fraction: float = 0.1):
     """2D fixed-point bandwidth selection.
 
-    Returns (t_star, t_x1, t_x2, report): the unit-square fixed point and
-    the data-scale diagonal squared bandwidths.
+    Solves gamma(t) = t for its smallest root on the unit-square bracket
+    [0, 0.1] with the same routine as the 1D selector, from 2D cosine
+    moments computed once.  Returns (t_star, t_x1, t_x2, report): the
+    unit-square fixed point and the data-scale diagonal squared
+    bandwidths.  Raises ArithmeticError when the bracket holds no root.
     """
     p = _as_sample2d(points)
     N = p.shape[0]
     if N < 50:
         raise ValueError("need at least 50 points")
     binned, grid = _unit_binned_2d(p, n, pad_fraction)
-
-    def g(t):
-        return gamma_2d(t, k, binned, N)[0]
-
-    eps = float(np.finfo(float).eps)
-    z = 0.05  # safe interior start; gamma is flat near the fixed point
-    converged = False
-    iterations = 0
-    for iterations in range(1, 101):
-        z_new = g(z)
-        if abs(z_new - z) < eps:
-            z = z_new
-            converged = True
-            break
-        z = z_new
-    if not converged:
-        raise ArithmeticError("selector failed: 2D fixed point did not converge")
-    _, psis = gamma_2d(z, k, binned, N)
+    spectrum = _Spectrum2D(binned.weights)
+    z, evaluations = _smallest_fixed_point(lambda t: gamma_2d(t, k, spectrum, N)[0])
+    _, psis = gamma_2d(z, k, spectrum, N)
     t1u, t2u = _diag_entries(psis, N)
     report = BandwidthReport(
-        t_star=z, t2_star=z, iterations=iterations,
+        t_star=z, t2_star=z, iterations=evaluations,
         functional_norms={f"psi_{i}{j}": v for (i, j), v in psis.items()},
-        converged=converged, method="isj2d", pad_fraction=pad_fraction)
+        converged=True, method="isj2d", pad_fraction=pad_fraction)
     return z, t1u * grid.x1.range ** 2, t2u * grid.x2.range ** 2, report
 
 
@@ -283,7 +302,7 @@ def normal_ref_2d_select(points, k: int = 4, n: int = 2 ** 8,
     seed = {(i, k + 1 - i): (-1.0) ** (k + 1)
             * gaussian_reference_norm(i, s1) * gaussian_reference_norm(k + 1 - i, s2)
             for i in range(k + 2)}
-    psis = _gamma_levels(None, k, binned, N, seed_level=seed)
+    psis = _gamma_levels(None, k, _Spectrum2D(binned.weights), N, seed_level=seed)
     t_star = (2.0 * np.pi * N * (psis[(0, 2)] + psis[(2, 0)] + 2.0 * psis[(1, 1)])) ** (
         -1.0 / 3.0)
     t1u, t2u = _diag_entries(psis, N)

@@ -14,13 +14,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .bandwidth import isj_select, sj_normal_ref_select
 from .comparators import abramson_estimate, hall_park_estimate, lscv_select, sinc_kde
 from .diffusion import diffusion_pipeline
 from .grids import DensityEstimate1D, Grid1D, bin_linear, integrate
-from .kde1d import gauss_kde_spectral
+from .kde1d import _normal_cdf, _normal_pdf, gauss_kde_spectral
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,12 @@ class GaussianMixture:
             lx = np.log(x[pos])
             acc = np.zeros_like(lx)
             for w, m, s in self.components:
-                acc += w * norm.pdf(lx, m, s)
+                acc += w * _normal_pdf(lx, m, s)
             out[pos] = acc / x[pos]
             return out
         out = np.zeros_like(x)
         for w, m, s in self.components:
-            out += w * norm.pdf(x, m, s)
+            out += w * _normal_pdf(x, m, s)
         return out
 
     def cdf(self, x):
@@ -63,12 +62,12 @@ class GaussianMixture:
             lx = np.log(x[pos])
             acc = np.zeros_like(lx)
             for w, m, s in self.components:
-                acc += w * norm.cdf(lx, m, s)
+                acc += w * _normal_cdf(lx, m, s)
             out[pos] = acc
             return out
         out = np.zeros_like(x)
         for w, m, s in self.components:
-            out += w * norm.cdf(x, m, s)
+            out += w * _normal_cdf(x, m, s)
         return out
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:

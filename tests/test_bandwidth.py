@@ -13,7 +13,15 @@ from diffkde import (
     sj_normal_ref_select,
     stage_t,
 )
-from diffkde.bandwidth import XI, _unit_binned
+from diffkde.bandwidth import (
+    XI,
+    _LADDER,
+    _Spectrum,
+    _smallest_fixed_point,
+    _unit_binned,
+)
+from diffkde.grids import cosine_moments
+from diffkde.testbed import registry
 
 
 def direct_functional_norm(x, j, t_j):
@@ -30,6 +38,35 @@ def direct_functional_norm(x, j, t_j):
     he = hermeval(d, coef)
     phi = np.exp(-0.5 * d * d) / np.sqrt(2.0 * np.pi * s)
     return float((-1.0) ** j * s ** (-j) * np.sum(he * phi) / N ** 2)
+
+
+def per_call_functional_norm(binned, j, t_j):
+    """The spectral functional with the moments recomputed on every call."""
+    c = cosine_moments(binned.weights)[1:]
+    k2 = (np.pi * np.arange(1, c.size + 1)) ** 2
+    return float(2.0 * np.sum(c * c * k2 ** j * np.exp(-k2 * t_j)))
+
+
+def iterated_fixed_point(x, l=5, n=2 ** 14):
+    """Plain iteration of t = xi * gamma(t) from machine epsilon, damped
+    once it oscillates, stopped at an absolute step below eps.  Returns the
+    data-scale t, or None when 100 steps do not reach the stop."""
+    binned, grid = _unit_binned(x, n, 0.1)
+    spectrum = _Spectrum(binned.weights)
+    eps = float(np.finfo(float).eps)
+    z, prev_step, damped = eps, None, False
+    for it in range(1, 101):
+        z_new = XI * gamma_chain(z, l, spectrum, x.size)[0]
+        if damped:
+            z_new = 0.5 * (z + z_new)
+        step = z_new - z
+        if prev_step is not None and it > 20 and step * prev_step < 0:
+            damped = True
+        prev_step = step
+        if abs(step) < eps:
+            return z_new * grid.range ** 2
+        z = z_new
+    return None
 
 
 class TestConstants:
@@ -101,6 +138,18 @@ class TestFunctionalNorm:
         target = 3.0 / (8.0 * np.sqrt(np.pi))
         assert abs(est - target) / target < 0.15
 
+    def test_held_spectrum_matches_per_call_formula(self):
+        x = registry()["claw"].sample(1000, np.random.default_rng(23))
+        binned, _ = _unit_binned(x, 2 ** 14, 0.1)
+        spectrum = _Spectrum(binned.weights)
+        # repeated orders and times exercise the cached weighted powers
+        for t in (1e-7, 1e-5, 1e-3, 5e-2, 1e-5):
+            for j in (1, 2, 3, 4, 6, 7, 2):
+                held = functional_norm(spectrum, j, t)
+                assert held == pytest.approx(per_call_functional_norm(binned, j, t),
+                                             rel=1e-12), (j, t)
+                assert functional_norm(binned, j, t) == pytest.approx(held, rel=1e-12)
+
     def test_invalid_args(self):
         from diffkde import Grid1D, bin_linear
         binned = bin_linear([0.5], Grid1D(0.0, 1.0, 16))
@@ -154,6 +203,33 @@ class TestGammaChain:
             assert abs(np.sqrt(z) - amise_unit) / amise_unit < 0.20
 
 
+class TestSmallestFixedPoint:
+    def test_single_root_to_relative_precision(self):
+        # t = sqrt(1e-3 t) has its nonzero root at 1e-3
+        z, calls = _smallest_fixed_point(lambda t: np.sqrt(1e-3 * t))
+        assert z == pytest.approx(1e-3, rel=1e-12)
+        assert calls < 60
+
+    def test_returns_smallest_of_several_roots(self):
+        # t - f(t) = (t - 1e-5)(t - 1e-3)(t - 2e-2)/1e-4, negative below 1e-5
+        roots = (1e-5, 1e-3, 2e-2)
+        z, _ = _smallest_fixed_point(
+            lambda t: t - (t - roots[0]) * (t - roots[1]) * (t - roots[2]) / 1e-4)
+        assert z == pytest.approx(roots[0], rel=1e-12)
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ArithmeticError, match="no fixed point found"):
+            _smallest_fixed_point(lambda t: 0.5 * t)
+
+    def test_failure_before_a_sign_change_raises(self):
+        def f(t):
+            if t > 1e-6:
+                raise ArithmeticError("stage j=1: nonpositive functional estimate")
+            return 2.0 * t
+        with pytest.raises(ArithmeticError, match="no fixed point found"):
+            _smallest_fixed_point(f)
+
+
 class TestIsjSelect:
     def test_gaussian_amise_band(self):
         x = np.random.default_rng(15).normal(size=10 ** 4)
@@ -191,18 +267,52 @@ class TestIsjSelect:
             assert rep.converged and rep.iterations < 100, name
 
     def test_slow_iteration_falls_back_to_a_valid_bracket(self):
-        # on this sample the iteration contracts too slowly to reach its
+        # on this sample plain iteration contracts too slowly to reach an
         # absolute stop in 100 steps, and the stage chain underflows at
-        # t = 1, the fallback bracket's default upper end
+        # t = 1; the root lies in the [0, 0.1] bracket all the same
         from diffkde.testbed import registry
         x = registry()["bimodal_pm2"].sample(1000, np.random.default_rng(1493))
         binned, grid = _unit_binned(x, 2 ** 12, 0.1)
         with pytest.raises(ArithmeticError):
             gamma_chain(1.0, 5, binned, x.size)
         rep = isj_select(x, n=2 ** 12)
-        assert rep.converged and rep.iterations == 100
+        assert rep.converged
         z = rep.t_star / grid.range ** 2
         assert XI * gamma_chain(z, 5, binned, x.size)[0] == pytest.approx(z, rel=1e-9)
+
+    @pytest.mark.parametrize("case,seed", [
+        ("bimodal_pm2", [777, 190]),
+        ("asymmetric_double_claw", [7, 2]),
+        ("asymmetric_double_claw", [7, 27]),
+        ("asymmetric_double_claw", [7, 121]),
+    ])
+    def test_finds_smallest_root_where_iteration_failed(self, case, seed):
+        # iteration with a bracketed fallback on [1e-12, 1] raised "no fixed
+        # point found" here: a second root above 0.1 left both ends negative
+        x = registry()[case].sample(1000, np.random.default_rng(seed))
+        rep = isj_select(x)
+        assert rep.converged
+        binned, grid = _unit_binned(x, 2 ** 14, 0.1)
+        z = rep.t_star / grid.range ** 2
+        assert 0.0 < z < 0.1
+        xi_gamma = lambda t: XI * gamma_chain(t, 5, binned, x.size)[0]
+        assert xi_gamma(z) == pytest.approx(z, rel=1e-9)
+        # no root below: the residual stays negative on a fine ladder up to z
+        ts = np.geomspace(_LADDER[0], z * (1.0 - 1e-6), 200)
+        assert all(t < xi_gamma(t) for t in ts)
+
+    @pytest.mark.parametrize("case", sorted(registry()))
+    def test_matches_iteration_where_it_converges(self, case):
+        # every registry case, the benchmark's plug-in targets among them
+        compared = 0
+        for s in range(3):
+            x = registry()[case].sample(1000, np.random.default_rng([777, s]))
+            ref = iterated_fixed_point(x)
+            if ref is None:
+                continue
+            compared += 1
+            assert isj_select(x).t_star == pytest.approx(ref, rel=1e-9), s
+        assert compared > 0
 
     def test_low_sample_fallback(self):
         x = np.random.default_rng(19).normal(size=20)

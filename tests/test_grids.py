@@ -88,6 +88,20 @@ class TestBinLinear:
         assert b.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert (b.weights @ g.nodes) == pytest.approx(x.mean(), abs=1e-10)
 
+    @pytest.mark.parametrize("N", [1, 1000, 10 ** 6])
+    def test_matches_add_at_reference(self, N):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=N)
+        g = make_grid(np.concatenate([x, [-6.0, 6.0]]), n=2 ** 12)
+        pos = (x - g.lo) / g.step
+        idx = np.minimum(pos.astype(np.int64), g.n - 2)
+        frac = pos - idx
+        ref = np.zeros(g.n)
+        np.add.at(ref, idx, 1.0 - frac)
+        np.add.at(ref, idx + 1, frac)
+        ref /= N
+        assert np.max(np.abs(bin_linear(x, g).weights - ref)) <= 1e-15
+
     def test_point_outside_grid(self):
         g = Grid1D(0.0, 1.0, 16)
         with pytest.raises(ValueError, match="outside"):

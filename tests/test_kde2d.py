@@ -24,6 +24,8 @@ from diffkde import (
     solve_heat_masked,
     t_stage_2d,
 )
+from diffkde.grids import cosine_moments
+from diffkde.kde2d import _diag_entries, _Spectrum2D, _unit_binned_2d
 
 
 def _unit_grid(n=2 ** 8):
@@ -49,6 +51,49 @@ def direct_psi(pts, i, j, t_ij):
     dy = pts[:, 1][:, None] - pts[:, 1][None, :]
     term = _gauss_deriv_factor(dx, 2 * i, s) * _gauss_deriv_factor(dy, 2 * j, s)
     return float(term.sum() / N ** 2)
+
+
+def per_call_psi(i, j, t_ij, binned2d):
+    """The spectral mixed functional with the 2D moments recomputed."""
+    c = cosine_moments(cosine_moments(binned2d.weights, axis=0), axis=1)
+    n1, n2 = c.shape
+    k = np.arange(n1)
+    l = np.arange(n2)
+    wk = np.where(k == 0, 1.0, 2.0)
+    wl = np.where(l == 0, 1.0, 2.0)
+    kx = (np.pi * k) ** 2
+    ly = (np.pi * l) ** 2
+    term = (wk * kx ** i * np.exp(-kx * t_ij))[:, None] * (
+        wl * ly ** j * np.exp(-ly * t_ij))[None, :]
+    return float((-1.0) ** (i + j) * np.sum(term * c * c))
+
+
+def iterated_fixed_point_2d(pts, k=4, n=2 ** 8):
+    """Plain iteration of t = gamma(t) from 0.05, stopped at an absolute
+    step below eps.  Returns (t_star, t_x1, t_x2), or None when 100 steps
+    do not reach the stop."""
+    binned, grid = _unit_binned_2d(pts, n, 0.1)
+    spectrum = _Spectrum2D(binned.weights)
+    N = pts.shape[0]
+    eps = float(np.finfo(float).eps)
+    z = 0.05
+    for _ in range(100):
+        z_new = gamma_2d(z, k, spectrum, N)[0]
+        if abs(z_new - z) < eps:
+            t1, t2 = _diag_entries(gamma_2d(z_new, k, spectrum, N)[1], N)
+            return z_new, t1 * grid.x1.range ** 2, t2 * grid.x2.range ** 2
+        z = z_new
+    return None
+
+
+def _shapes_2d(rng, N):
+    z = rng.normal(size=(N, 2))
+    yield "gaussian", z
+    yield "correlated", np.column_stack([z[:, 0], 0.9 * z[:, 0] + 0.3 * z[:, 1]])
+    yield "anisotropic", z * [10.0, 1.0]
+    yield "bimodal", z + np.where(rng.random(N) < 0.5, -3.0, 3.0)[:, None]
+    u = rng.uniform(-1.0, 1.0, size=(3 * N, 2))
+    yield "ellipse", u[(u[:, 0] / 1.0) ** 2 + (u[:, 1] / 0.5) ** 2 < 1.0][:N]
 
 
 class TestQConst:
@@ -84,6 +129,21 @@ class TestBinning2D:
     def test_outside_grid(self):
         with pytest.raises(ValueError, match="outside"):
             bin_linear_2d([[1.5, 0.5]], _unit_grid(16))
+
+    def test_matches_add_at_reference(self):
+        pts = np.random.default_rng(33).normal(size=(20000, 2))
+        g = make_grid_2d(pts, n=2 ** 7)
+        ref = np.zeros(g.shape)
+        pos = [(pts[:, c] - a.lo) / a.step for c, a in enumerate((g.x1, g.x2))]
+        idx = [np.minimum(q.astype(np.int64), 2 ** 7 - 2) for q in pos]
+        fx, fy = (q - i for q, i in zip(pos, idx))
+        for dx in (0, 1):
+            for dy in (0, 1):
+                wx = fx if dx else 1.0 - fx
+                wy = fy if dy else 1.0 - fy
+                np.add.at(ref, (idx[0] + dx, idx[1] + dy), wx * wy)
+        ref /= pts.shape[0]
+        assert np.max(np.abs(bin_linear_2d(pts, g).weights - ref)) <= 1e-15
 
     def test_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -124,6 +184,17 @@ class TestPsiHat:
         b = bin_linear_2d([[0.5, 0.5]], _unit_grid(16))
         with pytest.raises(ValueError):
             psi_hat(1, 1, 0.0, b)
+
+    def test_held_spectrum_matches_per_call_formula(self):
+        pts = np.random.default_rng(32).normal(size=(1000, 2)) * [1.0, 2.0]
+        b, _ = _unit_binned_2d(pts, 2 ** 8, 0.1)
+        spectrum = _Spectrum2D(b.weights)
+        # repeated pairs and times exercise the cached axis factors
+        for t in (1e-6, 1e-4, 1e-3, 5e-2, 1e-4):
+            for i, j in ((0, 2), (2, 0), (1, 1), (3, 1), (0, 4), (2, 3), (1, 1)):
+                held = psi_hat(i, j, t, spectrum)
+                assert held == pytest.approx(per_call_psi(i, j, t, b), rel=1e-12), (i, j, t)
+                assert psi_hat(i, j, t, b) == pytest.approx(held, rel=1e-12)
 
 
 class TestStage2D:
@@ -169,6 +240,19 @@ class TestSelector2D:
         _, s1, s2, _ = isj2d_select(scaled)
         assert s1 == pytest.approx(2.5 ** 2 * t1, rel=1e-6)
         assert s2 == pytest.approx(t2, rel=1e-6)
+
+    def test_matches_iteration_where_it_converges(self):
+        compared = 0
+        for s in range(3):
+            for name, pts in _shapes_2d(np.random.default_rng([21, s]), 1000):
+                ref = iterated_fixed_point_2d(pts)
+                if ref is None:
+                    continue
+                compared += 1
+                t_star, t1, t2, rep = isj2d_select(pts)
+                assert rep.converged and rep.iterations < 100
+                assert (t_star, t1, t2) == pytest.approx(ref, rel=1e-9), (name, s)
+        assert compared >= 12
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):

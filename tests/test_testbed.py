@@ -108,6 +108,26 @@ class TestMixtureMath:
         assert mix.pdf([-1.0, 0.0]).tolist() == [0.0, 0.0]
         assert mix.mean() == pytest.approx(np.exp(0.5))
 
+    @pytest.mark.parametrize("name", sorted(registry()))
+    def test_pdf_and_cdf_equal_scipy_norm(self, name):
+        mix = registry()[name]
+        xs = np.linspace(-8.0, 8.0, 2001)
+        if mix.exp_transform:
+            xs = np.exp(xs)
+        z = np.log(xs) if mix.exp_transform else xs
+        pdf = sum(w * norm.pdf(z, m, s) for w, m, s in mix.components)
+        cdf = sum(w * norm.cdf(z, m, s) for w, m, s in mix.components)
+        if mix.exp_transform:
+            pdf = pdf / xs
+        np.testing.assert_array_equal(mix.pdf(xs), pdf)
+        np.testing.assert_array_equal(mix.cdf(xs), cdf)
+
+    def test_standard_normal_helpers_equal_scipy_norm(self):
+        from diffkde.kde1d import _normal_cdf, _normal_pdf
+        u = np.linspace(-40.0, 40.0, 4001)
+        np.testing.assert_array_equal(_normal_pdf(u), norm.pdf(u))
+        np.testing.assert_array_equal(_normal_cdf(u), norm.cdf(u))
+
     def test_cdf_consistent_with_pdf(self):
         mix = registry()["claw"]
         g = Grid1D(-4.0, 4.0, 2 ** 12)
