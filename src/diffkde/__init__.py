@@ -36,12 +36,9 @@ from .grids import (
     BinnedHistogram,
     DensityEstimate1D,
     Grid1D,
-    SpectralCoeffs,
     bin_linear,
     cosine_moments,
     cosine_synthesis,
-    dct2,
-    idct2,
     integrate,
     make_grid,
     trapezoid_weights,
@@ -69,7 +66,6 @@ from .kde2d import (
     make_grid_2d,
     normal_ref_2d_select,
     psi_hat,
-    q_const,
     solve_heat_masked,
     t_stage_2d,
 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BinnedHistogram, Grid1D, _as_sample, bin_linear, cosine_moments
+from .grids import BinnedHistogram, _as_sample, bin_linear, cosine_moments, make_grid
 
 # ((6 sqrt 2 - 3)/7)^{2/5}; the ratio between the fixed-point map and the
 # final-stage bandwidth formula.
@@ -64,26 +64,46 @@ def gaussian_reference_norm(j: int, sigma: float) -> float:
 
 
 class _Spectrum:
-    """Cosine power of one binned unit-interval sample, computed once.
+    """Cosine power c^2 of one binned sample on the unit interval or unit
+    square, computed once along every axis.
 
-    Holds c_k^2 and (pi k)^2 for k >= 1 and caches c_k^2 (pi k)^{2j} per
-    derivative order, so each functional estimate is one exp and one dot.
+    Caches the axis weights w_k (pi k)^{2j} (w_0 = 1, else 2) per axis and
+    derivative order.  In 1D they carry c_k^2 as well, so each functional
+    is one exp and one dot; in 2D each is two exps and one bilinear form.
     """
 
     def __init__(self, weights):
-        c = cosine_moments(weights)[1:]
+        c = weights
+        for axis in range(c.ndim):
+            c = cosine_moments(c, axis=axis)
         self.c2 = c * c
-        self.k2 = (np.pi * np.arange(1, c.size + 1)) ** 2
+        self.k2 = [(np.pi * np.arange(n)) ** 2 for n in c.shape]
         self._weighted = {}
 
-    def norm(self, j: int, t: float) -> float:
-        p = self._weighted.get(j)
+    def _weights(self, axis: int, j: int) -> np.ndarray:
+        p = self._weighted.get((axis, j))
         if p is None:
-            p = self._weighted[j] = self.c2 * self.k2 ** j
-        return float(2.0 * (p @ np.exp(-self.k2 * t)))
+            k2 = self.k2[axis]
+            p = np.where(k2 == 0.0, 1.0, 2.0) * k2 ** j
+            if self.c2.ndim == 1:
+                p *= self.c2
+            self._weighted[(axis, j)] = p
+        return p
+
+    def norm(self, j: int, t: float) -> float:
+        """2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t) of a 1D spectrum;
+        mode 0 carries no power at j >= 1 and is left out of the sum."""
+        return float(self._weights(0, j)[1:] @ np.exp(-self.k2[0][1:] * t))
+
+    def psi(self, i: int, j: int, t: float) -> float:
+        """The signed mixed functional of a 2D spectrum (kde2d.psi_hat)."""
+        a = self._weights(0, i) * np.exp(-self.k2[0] * t)
+        b = self._weights(1, j) * np.exp(-self.k2[1] * t)
+        return float((-1.0) ** (i + j) * (a @ self.c2 @ b))
 
 
 def _spectrum(binned) -> _Spectrum:
+    """The held spectrum itself, or that of a binned histogram (1D or 2D)."""
     return binned if isinstance(binned, _Spectrum) else _Spectrum(binned.weights)
 
 
@@ -145,15 +165,6 @@ def gamma_chain(t: float, l: int, binned: BinnedHistogram, N: int):
     return t, times, norms
 
 
-def _unit_binned(sample, n: int, pad_fraction: float):
-    x = _as_sample(sample)
-    lo, hi = float(x.min()), float(x.max())
-    rng = hi - lo if hi > lo else 2.0
-    lo, hi = lo - pad_fraction * rng, hi + pad_fraction * rng
-    grid = Grid1D(lo, hi, n)
-    return bin_linear(x, grid), grid
-
-
 def _smallest_fixed_point(f):
     """Smallest root of h(t) = t - f(t) on the unit-scale bracket [0, 0.1].
 
@@ -209,44 +220,38 @@ def _smallest_fixed_point(f):
     raise ArithmeticError("selector failed: fixed-point refinement stalled")
 
 
-def _select(sample, l: int, n: int, pad_fraction: float, seed_norm=None):
-    """Shared driver for both selectors; seed_norm switches the mode.
+def _select(sample, l: int, n: int, pad_fraction: float, sigma=None):
+    """Shared driver for both selectors; sigma switches the mode.
 
-    With seed_norm None, solve the fixed point t = XI * gamma^[l](t).
-    With seed_norm given (a function j -> ||f^(j)||^2 on the unit scale),
-    start the chain at stage l+1 from its closed-form value instead.
+    With sigma None, solve the fixed point t = XI * gamma^[l](t).  With the
+    sample standard deviation sigma given, start the chain at stage l+1
+    from the normal reference's closed-form ||f^(l+2)||^2 instead.  Raises
+    ValueError on a sample of zero range.
     """
     x = _as_sample(sample)
     N = x.size
-    binned, grid = _unit_binned(x, n, pad_fraction)
-    spectrum = _Spectrum(binned.weights)
+    if x.min() == x.max():
+        raise ValueError("degenerate sample: zero range")
+    grid = make_grid(x, n, pad_fraction)
+    spectrum = _Spectrum(bin_linear(x, grid).weights)
     R2 = grid.range ** 2
 
-    if seed_norm is not None:
-        t = stage_t(l + 1, seed_norm(l + 2), N)
+    if sigma is None:
+        z, evaluations = _smallest_fixed_point(
+            lambda t: XI * gamma_chain(t, l, spectrum, N)[0])
+        t1, times, norms = gamma_chain(z, l, spectrum, N)
+        method = "isj"
+    else:
+        t = stage_t(l + 1, gaussian_reference_norm(l + 2, sigma / grid.range), N)
         t1, times, norms = gamma_chain(t, l, spectrum, N)
-        times[l + 1] = t
-        report = BandwidthReport(
-            t_star=XI * t1 * R2,
-            t2_star=times[2] * R2,
-            iterations=0,
-            functional_norms=norms,
-            converged=True,
-            method="sj_normal_ref",
-            pad_fraction=pad_fraction,
-        )
-        return report
-
-    z, evaluations = _smallest_fixed_point(
-        lambda t: XI * gamma_chain(t, l, spectrum, N)[0])
-    t1, times, norms = gamma_chain(z, l, spectrum, N)
+        z, evaluations, method = XI * t1, 0, "sj_normal_ref"
     return BandwidthReport(
         t_star=z * R2,
         t2_star=times[2] * R2,
         iterations=evaluations,
         functional_norms=norms,
         converged=True,
-        method="isj",
+        method=method,
         pad_fraction=pad_fraction,
     )
 
@@ -278,11 +283,4 @@ def sj_normal_ref_select(sample, l: int = 5, n: int = 2 ** 14,
     identical to the fixed-point selector.
     """
     x = _as_sample(sample)
-    sigma = float(np.std(x))
-    if sigma == 0.0:
-        raise ValueError("degenerate sample: zero variance")
-    lo, hi = float(x.min()), float(x.max())
-    rng = hi - lo + 2.0 * pad_fraction * (hi - lo)
-    sigma_unit = sigma / rng
-    return _select(x, l, n, pad_fraction,
-                   seed_norm=lambda j: gaussian_reference_norm(j, sigma_unit))
+    return _select(x, l, n, pad_fraction, sigma=float(np.std(x)))

@@ -73,20 +73,23 @@ def _parse_selector(spec: str):
     return spec, None
 
 
-def _select_t(x: np.ndarray, selector: str, t_fixed):
+def _select_t(x: np.ndarray, selector: str, t_fixed, args):
     if selector == "fixed":
         return t_fixed
-    if selector == "isj":
-        return isj_select(x).t_star
-    if selector == "sj":
-        return sj_normal_ref_select(x).t_star
-    return lscv_select(x).t
+    if selector == "lscv":
+        return lscv_select(x).t
+    sel = isj_select if selector == "isj" else sj_normal_ref_select
+    return sel(x, n=args.grid_n, pad_fraction=args.pad).t_star
+
+
+def _isj2d(pts: np.ndarray, args):
+    return isj2d_select(pts, n=args.grid_n_2d, pad_fraction=args.pad)
 
 
 def cmd_bandwidth(args) -> int:
     if args.dims == 2:
         pts = _read_sample(args.input, 2)
-        t_star, t1, t2, report = isj2d_select(pts)
+        t_star, t1, t2, report = _isj2d(pts, args)
         doc = {"t_star_unit": t_star, "t_x1": t1, "t_x2": t2,
                "iterations": report.iterations, "converged": report.converged,
                "method": report.method, "pad_fraction": report.pad_fraction}
@@ -114,10 +117,10 @@ def _density_1d(args) -> tuple:
         sol, _ = diffusion_pipeline(x, alpha=args.alpha, n=args.grid_n, grid=grid)
         return grid.nodes, sol.estimate.values, grid
     if args.method in ("gauss", "theta"):
-        t = _select_t(x, selector, t_fixed)
+        t = _select_t(x, selector, t_fixed, args)
         est = gauss_kde_spectral(bin_linear(x, grid), t)
         return grid.nodes, est.values, grid
-    t = _select_t(x, "lscv" if selector in ("isj", "sj") else selector, t_fixed)
+    t = _select_t(x, "lscv" if selector in ("isj", "sj") else selector, t_fixed, args)
     if args.method == "abramson":
         vals = abramson_estimate(x, grid.nodes, t=t, t_pilot=t)
     elif args.method == "sinc":
@@ -132,24 +135,16 @@ def _density_1d(args) -> tuple:
 def cmd_density(args) -> int:
     if args.dims == 2:
         pts = _read_sample(args.input, 2)
+        grid = make_grid_2d(pts, n=args.grid_n_2d, pad_fraction=args.pad)
+        selector, t_fixed = _parse_selector(args.selector)
+        binned = bin_linear_2d(pts, grid)
         if args.mask is not None:
-            grid = make_grid_2d(pts, n=args.grid_n_2d, pad_fraction=args.pad)
             mask = DomainMask(grid, _read_mask(args.mask))
-            selector, t_fixed = _parse_selector(args.selector)
-            if selector == "fixed":
-                t = t_fixed
-            else:
-                t = isj2d_select(pts)[0]
-            est = solve_heat_masked(bin_linear_2d(pts, grid), mask, t)
+            t = t_fixed if selector == "fixed" else _isj2d(pts, args)[0]
+            est = solve_heat_masked(binned, mask, t)
         else:
-            grid = make_grid_2d(pts, n=args.grid_n_2d, pad_fraction=args.pad)
-            selector, t_fixed = _parse_selector(args.selector)
-            if selector == "fixed":
-                tt = (t_fixed, t_fixed)
-            else:
-                _, t1, t2, _ = isj2d_select(pts)
-                tt = (t1, t2)
-            est = gauss_kde_2d(bin_linear_2d(pts, grid), tt)
+            tt = (t_fixed, t_fixed) if selector == "fixed" else _isj2d(pts, args)[1:3]
+            est = gauss_kde_2d(binned, tt)
         with open(args.output, "w") as fh:
             fh.write(f"# integral={integrate_2d(est.values, grid)!r}\n")
             n1 = grid.x1.nodes
@@ -175,7 +170,7 @@ def cmd_sample(args) -> int:
     selector, t_fixed = _parse_selector(args.selector)
     if args.method == "theta":
         grid = make_grid(x, n=args.grid_n, pad_fraction=args.pad)
-        t = _select_t(x, selector, t_fixed)
+        t = _select_t(x, selector, t_fixed, args)
         t_unit = t / grid.range ** 2
         centers = grid.to_unit(x[rng.integers(0, x.size, size=args.count)])
         draws = np.array([theta_sample(c, t_unit, rng) for c in centers])

@@ -85,10 +85,14 @@ def build_pilot(sample, alpha: float = 1.0, n: int = 2 ** 14,
         t = isj_select(x, n=n).t_star
     if grid is None:
         grid = make_grid(x, n=n)
-    p = gauss_kde_spectral(bin_linear(x, grid), t).values.copy()
+    return _pilot(bin_linear(x, grid), alpha, t)
+
+
+def _pilot(binned: BinnedHistogram, alpha: float, t: float) -> PilotModel:
+    p = gauss_kde_spectral(binned, t).values.copy()
     p = np.maximum(p, P_FLOOR_REL * p.max())
-    p /= integrate(p, grid)
-    return PilotModel(grid, p, alpha)
+    p /= integrate(p, binned.grid)
+    return PilotModel(binned.grid, p, alpha)
 
 
 def _operator_bands(pilot: PilotModel):
@@ -224,13 +228,17 @@ def diffusion_t_star(lf_norm_val: float, sigma_inv_mean_val: float, N: int) -> f
 
 def diffusion_pipeline(sample, alpha: float = 1.0, n: int = 2 ** 14,
                        grid: Grid1D | None = None):
-    """Full adaptive estimate: pilot, second-stage time, t*, final solve."""
+    """Full adaptive estimate: pilot, second-stage time, t*, final solve.
+
+    The pilot and the initial condition share one binning of the sample on
+    ``grid`` (by default ``make_grid(sample, n)``).
+    """
     x = _as_sample(sample)
     report = isj_select(x, n=n)
     if grid is None:
         grid = make_grid(x, n=n)
-    pilot = build_pilot(x, alpha, n=n, grid=grid, t=report.t_star)
     binned = bin_linear(x, grid)
+    pilot = _pilot(binned, alpha, report.t_star)
     lf = lf_norm(binned, pilot, report.t2_star)
     si = sigma_inv_mean(x, pilot)
     t_star = diffusion_t_star(lf, si, x.size)

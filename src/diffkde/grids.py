@@ -1,17 +1,18 @@
-"""Uniform grids, linear binning, cosine transforms and quadrature.
+"""Uniform grids, linear binning, cosine transforms, heat smoothing and
+quadrature.
 
 Everything downstream (spectral smoothing, plug-in bandwidth selection,
-PDE solvers) operates on the uniform node lattices defined here.  Grids
-carry ``n`` equally spaced nodes including both endpoints, so the node
-step is ``(hi - lo) / (n - 1)``.
+PDE solvers) operates on the uniform node lattices defined here, in one
+and two dimensions.  Grids carry ``n`` equally spaced nodes including both
+endpoints, so the node step is ``(hi - lo) / (n - 1)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct
+from scipy.fft import dct
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,6 @@ class BinnedHistogram:
 
 
 @dataclass(frozen=True)
-class SpectralCoeffs:
-    """Orthonormal type-II cosine coefficients of a node vector."""
-
-    grid: Grid1D
-    coeffs: np.ndarray
-
-
-@dataclass(frozen=True)
 class DensityEstimate1D:
     """Density values on a grid together with the squared bandwidth used."""
 
@@ -100,8 +93,10 @@ def _as_sample(sample) -> np.ndarray:
 def make_grid(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> Grid1D:
     """Build a grid covering the sample, padded by ``pad_fraction`` of its range.
 
-    A degenerate sample (all points equal) is expanded by 1.0 in data units
-    on each side so the grid is always nonempty.
+    This is the one padding rule: the selectors, the estimators, the CLI
+    and the 2D grids (one call per axis) all bin on it.  A degenerate
+    sample (all points equal) is expanded by 1.0 in data units on each side
+    so the grid is always nonempty; the selectors refuse such a sample.
     """
     if pad_fraction < 0:
         raise ValueError("pad_fraction must be >= 0")
@@ -113,36 +108,29 @@ def make_grid(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> Grid1D:
     return Grid1D(lo - pad_fraction * rng, hi + pad_fraction * rng, n)
 
 
-def bin_linear(sample, grid: Grid1D) -> BinnedHistogram:
-    """Distribute each point's 1/N mass between its two bracketing nodes."""
-    x = _as_sample(sample)
+def _cells(x: np.ndarray, grid: Grid1D):
+    """Left node index and fraction towards the right node of each point.
+
+    Raises ValueError for a point outside the grid.
+    """
     if x.min() < grid.lo or x.max() > grid.hi:
         raise ValueError("sample point outside grid")
     pos = x - grid.lo
     pos /= grid.step
     idx = pos.astype(np.int64)
     np.minimum(idx, grid.n - 2, out=idx)
-    pos -= idx  # node idx gets 1 - pos per point, node idx + 1 gets pos
-    right = np.bincount(idx, pos, grid.n)
+    pos -= idx
+    return idx, pos
+
+
+def bin_linear(sample, grid: Grid1D) -> BinnedHistogram:
+    """Distribute each point's 1/N mass between its two bracketing nodes."""
+    x = _as_sample(sample)
+    idx, frac = _cells(x, grid)  # node idx gets 1 - frac, node idx + 1 gets frac
+    right = np.bincount(idx, frac, grid.n)
     w = np.bincount(idx, minlength=grid.n) - right
     w[1:] += right[:-1]
     return BinnedHistogram(grid, w / x.size)
-
-
-def dct2(weights, grid: Grid1D) -> SpectralCoeffs:
-    """Orthonormal type-II discrete cosine transform of a node vector."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (grid.n,):
-        raise ValueError("length mismatch with grid")
-    return SpectralCoeffs(grid, dct(w, type=2, norm="ortho"))
-
-
-def idct2(coeffs: SpectralCoeffs) -> np.ndarray:
-    """Inverse of :func:`dct2`; exact round trip up to rounding."""
-    c = np.asarray(coeffs.coeffs, dtype=float)
-    if c.shape != (coeffs.grid.n,):
-        raise ValueError("length mismatch with grid")
-    return idct(c, type=2, norm="ortho")
 
 
 def integrate(values, grid: Grid1D) -> float:
@@ -165,8 +153,7 @@ def trapezoid_weights(grid: Grid1D) -> np.ndarray:
 # With nodes u_j = j/(n-1) on [0, 1], the moments c_k = sum_j v_j cos(pi k u_j)
 # and the synthesis f_i = b_0 + 2 sum_{k>=1} b_k cos(pi k u_i) are both plain
 # type-I DCTs up to endpoint bookkeeping.  These are the exact transforms for
-# smoothing a node-supported measure with the Neumann heat kernel; dct2/idct2
-# above remain the generic orthonormal pair.
+# smoothing a node-supported measure with the Neumann heat kernel.
 # ---------------------------------------------------------------------------
 
 def cosine_moments(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -194,3 +181,23 @@ def cosine_synthesis(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
     shape = [1] * b.ndim
     shape[axis] = n
     return d + sign.reshape(shape) * last
+
+
+def _heat_smooth(weights: np.ndarray, unit_times) -> np.ndarray:
+    """Evolve node weights on the unit interval or square by the zero-flux
+    heat flow, to time ``unit_times[axis]`` along each axis.
+
+    The one smoother behind both spectral estimators: cosine moments along
+    every axis, damping of mode k by exp(-(pi k)^2 t / 2), synthesis.
+    """
+    c = weights
+    for axis in range(c.ndim):
+        c = cosine_moments(c, axis=axis)
+    for axis, t in enumerate(unit_times):
+        shape = [1] * c.ndim
+        shape[axis] = -1
+        k = np.arange(c.shape[axis]).reshape(shape)
+        c = c * np.exp(-0.5 * (np.pi * k) ** 2 * t)
+    for axis in range(c.ndim):
+        c = cosine_synthesis(c, axis=axis)
+    return c

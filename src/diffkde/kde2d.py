@@ -18,8 +18,15 @@ import numpy as np
 from scipy import ndimage, sparse
 from scipy.sparse.linalg import splu
 
-from .bandwidth import BandwidthReport, _smallest_fixed_point, gaussian_reference_norm
-from .grids import Grid1D, cosine_moments, cosine_synthesis, trapezoid_weights
+from .bandwidth import (
+    BandwidthReport,
+    _double_factorial_odd,
+    _smallest_fixed_point,
+    _Spectrum,
+    _spectrum,
+    gaussian_reference_norm,
+)
+from .grids import Grid1D, _cells, _heat_smooth, make_grid, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -88,33 +95,18 @@ def _as_sample2d(points) -> np.ndarray:
 
 
 def make_grid_2d(points, n: int = 2 ** 8, pad_fraction: float = 0.1) -> Grid2D:
+    """Product of the :func:`~diffkde.grids.make_grid` grids of each axis."""
     p = _as_sample2d(points)
-    axes = []
-    for c in range(2):
-        lo, hi = float(p[:, c].min()), float(p[:, c].max())
-        rng = hi - lo
-        if rng == 0.0:
-            axes.append(Grid1D(lo - 1.0, hi + 1.0, n))
-        else:
-            axes.append(Grid1D(lo - pad_fraction * rng, hi + pad_fraction * rng, n))
-    return Grid2D(axes[0], axes[1])
+    return Grid2D(make_grid(p[:, 0], n, pad_fraction), make_grid(p[:, 1], n, pad_fraction))
 
 
 def bin_linear_2d(points, grid: Grid2D) -> BinnedHistogram2D:
     """Bilinear binning: each point splits 1/N over its four corner nodes."""
     p = _as_sample2d(points)
     w = np.zeros(grid.shape)
-    idx, frac = [], []
-    for c, g in enumerate((grid.x1, grid.x2)):
-        if p[:, c].min() < g.lo or p[:, c].max() > g.hi:
-            raise ValueError("point outside grid")
-        pos = (p[:, c] - g.lo) / g.step
-        i = np.minimum(pos.astype(np.int64), g.n - 2)
-        idx.append(i)
-        frac.append(pos - i)
-    fx, fy = frac
+    (i1, fx), (i2, fy) = (_cells(p[:, c], g) for c, g in enumerate((grid.x1, grid.x2)))
     n2 = grid.x2.n
-    flat = idx[0] * n2 + idx[1]
+    flat = i1 * n2 + i2
     for dx in (0, 1):
         for dy in (0, 1):
             wx = fx if dx else 1.0 - fx
@@ -127,47 +119,6 @@ def integrate_2d(values, grid: Grid2D) -> float:
     w1 = trapezoid_weights(grid.x1)
     w2 = trapezoid_weights(grid.x2)
     return float(w1 @ np.asarray(values, dtype=float) @ w2)
-
-
-def q_const(j: int) -> float:
-    """q(j) = (-1)^j (2j-1)!!/sqrt(2 pi) for j >= 1; 1/sqrt(2 pi) at j = 0."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if j == 0:
-        return 1.0 / np.sqrt(2.0 * np.pi)
-    dfact = float(np.prod(np.arange(1, 2 * j, 2, dtype=float)))
-    return (-1.0) ** j * dfact / np.sqrt(2.0 * np.pi)
-
-
-class _Spectrum2D:
-    """Cosine power c_kl^2 of one binned unit-square sample, computed once.
-
-    Caches the axis factors w_k (pi k)^{2i} per axis and derivative order,
-    so each mixed functional is two exps and one bilinear form.
-    """
-
-    def __init__(self, weights):
-        c = cosine_moments(cosine_moments(weights, axis=0), axis=1)
-        self.c2 = c * c
-        self.k2 = [(np.pi * np.arange(n)) ** 2 for n in c.shape]
-        self._weighted = {}
-
-    def _axis(self, axis: int, i: int, t: float) -> np.ndarray:
-        k2 = self.k2[axis]
-        p = self._weighted.get((axis, i))
-        if p is None:
-            w = np.where(k2 == 0.0, 1.0, 2.0)
-            p = self._weighted[(axis, i)] = w * k2 ** i
-        return p * np.exp(-k2 * t)
-
-    def psi(self, i: int, j: int, t: float) -> float:
-        return float((-1.0) ** (i + j) * (self._axis(0, i, t) @ self.c2 @ self._axis(1, j, t)))
-
-
-def _spectrum_2d(binned2d) -> _Spectrum2D:
-    if isinstance(binned2d, _Spectrum2D):
-        return binned2d
-    return _Spectrum2D(binned2d.weights)
 
 
 def psi_hat(i: int, j: int, t_ij: float, binned2d: BinnedHistogram2D) -> float:
@@ -187,44 +138,39 @@ def psi_hat(i: int, j: int, t_ij: float, binned2d: BinnedHistogram2D) -> float:
     """
     if not t_ij > 0:
         raise ValueError("t_ij must be positive")
-    return _spectrum_2d(binned2d).psi(i, j, t_ij)
+    return _spectrum(binned2d).psi(i, j, t_ij)
 
 
 def t_stage_2d(i: int, j: int, psi_ip1_j: float, psi_i_jp1: float, N: int) -> float:
     """t_{i,j} = [ (1+2^{-i-j-1})/3 * (-2 q(i) q(j)) /
-                   (N (psi_{i+1,j} + psi_{i,j+1})) ]^{1/(2+i+j)}."""
-    val = (1.0 + 2.0 ** (-i - j - 1)) / 3.0 * (-2.0 * q_const(i) * q_const(j)) / (
-        N * (psi_ip1_j + psi_i_jp1))
+                   (N (psi_{i+1,j} + psi_{i,j+1})) ]^{1/(2+i+j)},
+
+    q(i) q(j) = (-1)^{i+j} (2i-1)!! (2j-1)!! / (2 pi)."""
+    qq = (-1.0) ** (i + j) * _double_factorial_odd(i) * _double_factorial_odd(j) / (
+        2.0 * np.pi)
+    val = (1.0 + 2.0 ** (-i - j - 1)) / 3.0 * (-2.0 * qq) / (N * (psi_ip1_j + psi_i_jp1))
     if not val > 0:
         raise ArithmeticError(f"stage ({i},{j}): nonpositive bracket")
     return val ** (1.0 / (2 + i + j))
 
 
 def _gamma_levels(t, k, spectrum, N, seed_level=None):
-    """Run the psi/t recursion from level k down to 2.
+    """Run the psi/t recursion from level k down to 2; return gamma and the
+    level-2 set.
 
     Level m holds {psi_hat_{i,j}: i+j=m}.  With seed_level given (a dict
     {(i,j): psi} at level k+1) the level-k pilot times come from the
     stage formula on those seeds rather than from the common input t.
     """
-    if seed_level is not None:
-        times = {(i, k - i): t_stage_2d(i, k - i,
-                                        seed_level[(i + 1, k - i)],
-                                        seed_level[(i, k - i + 1)], N)
-                 for i in range(k + 1)}
-    else:
-        times = {(i, k - i): t for i in range(k + 1)}
-    level = k
-    while True:
-        psis = {(i, j): psi_hat(i, j, times[(i, j)], spectrum)
-                for (i, j) in times}
-        if level == 2:
-            return psis
-        level -= 1
-        times = {(i, level - i): t_stage_2d(i, level - i,
-                                            psis[(i + 1, level - i)],
-                                            psis[(i, level - i + 1)], N)
+    psis = seed_level
+    for level in range(k, 1, -1):
+        times = {(i, level - i): t if psis is None else t_stage_2d(
+                     i, level - i, psis[(i + 1, level - i)], psis[(i, level - i + 1)], N)
                  for i in range(level + 1)}
+        psis = {(i, j): psi_hat(i, j, tij, spectrum) for (i, j), tij in times.items()}
+    g = (2.0 * np.pi * N * (psis[(0, 2)] + psis[(2, 0)] + 2.0 * psis[(1, 1)])) ** (
+        -1.0 / 3.0)
+    return g, psis
 
 
 def gamma_2d(t: float, k: int, binned2d: BinnedHistogram2D, N: int):
@@ -237,10 +183,7 @@ def gamma_2d(t: float, k: int, binned2d: BinnedHistogram2D, N: int):
         raise ValueError("k must be >= 3")
     if not t > 0:
         raise ValueError("t must be positive")
-    psis = _gamma_levels(t, k, _spectrum_2d(binned2d), N)
-    g = (2.0 * np.pi * N * (psis[(0, 2)] + psis[(2, 0)] + 2.0 * psis[(1, 1)])) ** (
-        -1.0 / 3.0)
-    return g, psis
+    return _gamma_levels(t, k, _spectrum(binned2d), N)
 
 
 def _diag_entries(psis, N):
@@ -251,12 +194,40 @@ def _diag_entries(psis, N):
     return t1, t2
 
 
-def _unit_binned_2d(points, n, pad_fraction):
+def _select_2d(points, k: int, n: int, pad_fraction: float, normal_ref: bool = False):
+    """Shared driver for both 2D selectors; normal_ref switches the mode.
+
+    Without normal_ref, solve gamma(t) = t for its smallest root.  With it,
+    seed level k+1 from the product-Gaussian closed form at the per-axis
+    sample standard deviations.  Raises ValueError on fewer than 50 points
+    or an axis of zero range.
+    """
     p = _as_sample2d(points)
+    N = p.shape[0]
+    if N < 50:
+        raise ValueError("need at least 50 points")
+    if np.any(p.min(axis=0) == p.max(axis=0)):
+        raise ValueError("degenerate sample: zero range")
     grid = make_grid_2d(p, n=n, pad_fraction=pad_fraction)
-    unit = np.column_stack([grid.x1.to_unit(p[:, 0]), grid.x2.to_unit(p[:, 1])])
-    ugrid = Grid2D(Grid1D(0.0, 1.0, n), Grid1D(0.0, 1.0, n))
-    return bin_linear_2d(unit, ugrid), grid
+    spectrum = _Spectrum(bin_linear_2d(p, grid).weights)
+    if normal_ref:
+        s1 = float(np.std(p[:, 0])) / grid.x1.range
+        s2 = float(np.std(p[:, 1])) / grid.x2.range
+        seed = {(i, k + 1 - i): (-1.0) ** (k + 1)
+                * gaussian_reference_norm(i, s1) * gaussian_reference_norm(k + 1 - i, s2)
+                for i in range(k + 2)}
+        t_star, psis = _gamma_levels(None, k, spectrum, N, seed_level=seed)
+        evaluations, method = 0, "normal_ref_2d"
+    else:
+        t_star, evaluations = _smallest_fixed_point(lambda t: gamma_2d(t, k, spectrum, N)[0])
+        _, psis = gamma_2d(t_star, k, spectrum, N)
+        method = "isj2d"
+    t1u, t2u = _diag_entries(psis, N)
+    report = BandwidthReport(
+        t_star=t_star, t2_star=t_star, iterations=evaluations,
+        functional_norms={f"psi_{i}{j}": v for (i, j), v in psis.items()},
+        converged=True, method=method, pad_fraction=pad_fraction)
+    return t_star, t1u * grid.x1.range ** 2, t2u * grid.x2.range ** 2, report
 
 
 def isj2d_select(points, k: int = 4, n: int = 2 ** 8, pad_fraction: float = 0.1):
@@ -264,24 +235,12 @@ def isj2d_select(points, k: int = 4, n: int = 2 ** 8, pad_fraction: float = 0.1)
 
     Solves gamma(t) = t for its smallest root on the unit-square bracket
     [0, 0.1] with the same routine as the 1D selector, from 2D cosine
-    moments computed once.  Returns (t_star, t_x1, t_x2, report): the
-    unit-square fixed point and the data-scale diagonal squared
-    bandwidths.  Raises ArithmeticError when the bracket holds no root.
+    moments of the sample binned on :func:`make_grid_2d`, computed once.
+    Returns (t_star, t_x1, t_x2, report): the unit-square fixed point and
+    the data-scale diagonal squared bandwidths.  Raises ArithmeticError
+    when the bracket holds no root, ValueError when an axis has zero range.
     """
-    p = _as_sample2d(points)
-    N = p.shape[0]
-    if N < 50:
-        raise ValueError("need at least 50 points")
-    binned, grid = _unit_binned_2d(p, n, pad_fraction)
-    spectrum = _Spectrum2D(binned.weights)
-    z, evaluations = _smallest_fixed_point(lambda t: gamma_2d(t, k, spectrum, N)[0])
-    _, psis = gamma_2d(z, k, spectrum, N)
-    t1u, t2u = _diag_entries(psis, N)
-    report = BandwidthReport(
-        t_star=z, t2_star=z, iterations=evaluations,
-        functional_norms={f"psi_{i}{j}": v for (i, j), v in psis.items()},
-        converged=True, method="isj2d", pad_fraction=pad_fraction)
-    return z, t1u * grid.x1.range ** 2, t2u * grid.x2.range ** 2, report
+    return _select_2d(points, k, n, pad_fraction)
 
 
 def normal_ref_2d_select(points, k: int = 4, n: int = 2 ** 8,
@@ -292,42 +251,20 @@ def normal_ref_2d_select(points, k: int = 4, n: int = 2 ** 8,
     psi_{i,j} = (-1)^{i+j} ||f1^(i)||^2 ||f2^(j)||^2 at the per-axis
     sample standard deviations; the rest of the recursion is data driven.
     """
-    p = _as_sample2d(points)
-    N = p.shape[0]
-    if N < 50:
-        raise ValueError("need at least 50 points")
-    binned, grid = _unit_binned_2d(p, n, pad_fraction)
-    s1 = float(np.std(p[:, 0])) / grid.x1.range
-    s2 = float(np.std(p[:, 1])) / grid.x2.range
-    seed = {(i, k + 1 - i): (-1.0) ** (k + 1)
-            * gaussian_reference_norm(i, s1) * gaussian_reference_norm(k + 1 - i, s2)
-            for i in range(k + 2)}
-    psis = _gamma_levels(None, k, _Spectrum2D(binned.weights), N, seed_level=seed)
-    t_star = (2.0 * np.pi * N * (psis[(0, 2)] + psis[(2, 0)] + 2.0 * psis[(1, 1)])) ** (
-        -1.0 / 3.0)
-    t1u, t2u = _diag_entries(psis, N)
-    report = BandwidthReport(
-        t_star=t_star, t2_star=t_star, iterations=0,
-        functional_norms={f"psi_{i}{j}": v for (i, j), v in psis.items()},
-        converged=True, method="normal_ref_2d", pad_fraction=pad_fraction)
-    return t_star, t1u * grid.x1.range ** 2, t2u * grid.x2.range ** 2, report
+    return _select_2d(points, k, n, pad_fraction, normal_ref=True)
 
 
 def gauss_kde_2d(binned2d: BinnedHistogram2D, t) -> DensityEstimate2D:
     """Separable zero-flux heat smoothing of 2D node weights.
 
-    ``t`` is a common data-scale squared bandwidth or a (t_x1, t_x2) pair.
+    ``t`` is a common data-scale squared bandwidth or a (t_x1, t_x2) pair;
+    :func:`grids._heat_smooth` smooths each axis at t / range^2.
     """
     t1, t2 = (t, t) if np.isscalar(t) else t
     if not (t1 > 0 and t2 > 0):
         raise ValueError("bandwidths must be positive")
     g = binned2d.grid
-    c = cosine_moments(cosine_moments(binned2d.weights, axis=0), axis=1)
-    k1 = np.arange(g.x1.n)
-    k2 = np.arange(g.x2.n)
-    c = c * np.exp(-0.5 * (np.pi * k1[:, None]) ** 2 * (t1 / g.x1.range ** 2))
-    c = c * np.exp(-0.5 * (np.pi * k2[None, :]) ** 2 * (t2 / g.x2.range ** 2))
-    vals = cosine_synthesis(cosine_synthesis(c, axis=0), axis=1)
+    vals = _heat_smooth(binned2d.weights, (t1 / g.x1.range ** 2, t2 / g.x2.range ** 2))
     vals = vals / (g.x1.range * g.x2.range)
     vals[np.abs(vals) < 1e-15] = 0.0
     return DensityEstimate2D(g, vals, (float(t1), float(t2)))

@@ -18,9 +18,8 @@ from diffkde.bandwidth import (
     _LADDER,
     _Spectrum,
     _smallest_fixed_point,
-    _unit_binned,
 )
-from diffkde.grids import cosine_moments
+from diffkde.grids import bin_linear, cosine_moments, make_grid
 from diffkde.testbed import registry
 
 
@@ -47,11 +46,17 @@ def per_call_functional_norm(binned, j, t_j):
     return float(2.0 * np.sum(c * c * k2 ** j * np.exp(-k2 * t_j)))
 
 
+def binned_on_grid(x, n):
+    """The selector's binning: x on make_grid(x, n) at 10% padding."""
+    grid = make_grid(x, n, 0.1)
+    return bin_linear(x, grid), grid
+
+
 def iterated_fixed_point(x, l=5, n=2 ** 14):
     """Plain iteration of t = xi * gamma(t) from machine epsilon, damped
     once it oscillates, stopped at an absolute step below eps.  Returns the
     data-scale t, or None when 100 steps do not reach the stop."""
-    binned, grid = _unit_binned(x, n, 0.1)
+    binned, grid = binned_on_grid(x, n)
     spectrum = _Spectrum(binned.weights)
     eps = float(np.finfo(float).eps)
     z, prev_step, damped = eps, None, False
@@ -131,7 +136,7 @@ class TestFunctionalNorm:
         # data-scale ||f''||^2 for N(0,1) at the stage-optimal pilot time
         rng = np.random.default_rng(7)
         x = rng.normal(size=10 ** 4)
-        binned, grid = _unit_binned(x, 2 ** 14, 0.1)
+        binned, grid = binned_on_grid(x, 2 ** 14)
         sigma_u = 1.0 / grid.range
         t2 = stage_t(2, gaussian_reference_norm(3, sigma_u), x.size)
         est = functional_norm(binned, 2, t2) / grid.range ** 5
@@ -140,7 +145,7 @@ class TestFunctionalNorm:
 
     def test_held_spectrum_matches_per_call_formula(self):
         x = registry()["claw"].sample(1000, np.random.default_rng(23))
-        binned, _ = _unit_binned(x, 2 ** 14, 0.1)
+        binned, _ = binned_on_grid(x, 2 ** 14)
         spectrum = _Spectrum(binned.weights)
         # repeated orders and times exercise the cached weighted powers
         for t in (1e-7, 1e-5, 1e-3, 5e-2, 1e-5):
@@ -163,7 +168,7 @@ class TestGammaChain:
     def _binned(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=1000)
-        return _unit_binned(x, 2 ** 14, 0.1)[0], 1000
+        return binned_on_grid(x, 2 ** 14)[0], 1000
 
     def test_l1_is_single_stage(self):
         binned, N = self._binned()
@@ -198,7 +203,7 @@ class TestGammaChain:
         # resulting bandwidths stay close and both land in the optimal band
         assert abs(np.sqrt(a) - np.sqrt(b)) / np.sqrt(a) < 0.20
         amise_unit = (4.0 / (3.0 * N)) ** 0.2 / (
-            _unit_binned(np.random.default_rng(14).normal(size=N), 2 ** 14, 0.1)[1].range)
+            binned_on_grid(np.random.default_rng(14).normal(size=N), 2 ** 14)[1].range)
         for z in (a, b):
             assert abs(np.sqrt(z) - amise_unit) / amise_unit < 0.20
 
@@ -240,16 +245,20 @@ class TestIsjSelect:
         assert rep.t2_star > 0
 
     def test_affine_equivariance(self):
+        # and invariance under reordering the sample, for both selectors
         x = np.random.default_rng(16).normal(size=2000)
-        t0 = isj_select(x).t_star
-        assert isj_select(x + 17.3).t_star == pytest.approx(t0, rel=1e-12)
-        assert isj_select(3.5 * x).t_star == pytest.approx(3.5 ** 2 * t0, rel=1e-6)
+        shuffled = np.random.default_rng(160).permutation(x)
+        for select in (isj_select, sj_normal_ref_select):
+            t0 = select(x).t_star
+            assert select(x + 17.3).t_star == pytest.approx(t0, rel=1e-12)
+            assert select(3.5 * x).t_star == pytest.approx(3.5 ** 2 * t0, rel=1e-6)
+            assert select(shuffled).t_star == pytest.approx(t0, rel=1e-12)
 
     def test_fixed_point_stability_across_starts(self):
         # iterating from machine epsilon and from 0.5 reaches the same root
         x = np.random.default_rng(17).normal(size=1000)
         rep = isj_select(x)
-        binned, grid = _unit_binned(x, 2 ** 14, 0.1)
+        binned, grid = binned_on_grid(x, 2 ** 14)
 
         z = 0.5
         for _ in range(300):
@@ -272,7 +281,7 @@ class TestIsjSelect:
         # t = 1; the root lies in the [0, 0.1] bracket all the same
         from diffkde.testbed import registry
         x = registry()["bimodal_pm2"].sample(1000, np.random.default_rng(1493))
-        binned, grid = _unit_binned(x, 2 ** 12, 0.1)
+        binned, grid = binned_on_grid(x, 2 ** 12)
         with pytest.raises(ArithmeticError):
             gamma_chain(1.0, 5, binned, x.size)
         rep = isj_select(x, n=2 ** 12)
@@ -292,7 +301,7 @@ class TestIsjSelect:
         x = registry()[case].sample(1000, np.random.default_rng(seed))
         rep = isj_select(x)
         assert rep.converged
-        binned, grid = _unit_binned(x, 2 ** 14, 0.1)
+        binned, grid = binned_on_grid(x, 2 ** 14)
         z = rep.t_star / grid.range ** 2
         assert 0.0 < z < 0.1
         xi_gamma = lambda t: XI * gamma_chain(t, 5, binned, x.size)[0]
@@ -320,6 +329,13 @@ class TestIsjSelect:
             rep = isj_select(x)
         assert rep.low_sample
         assert rep.method == "sj_normal_ref"
+
+    @pytest.mark.parametrize("N", [20, 50])
+    def test_zero_range_sample_raises(self, N):
+        # no spread to estimate from: the fixed point would sit on the
+        # ladder floor and be reported as converged
+        with pytest.raises(ValueError, match="zero range"):
+            isj_select(np.full(N, 3.0))
 
     def test_pad_fraction_recorded(self):
         x = np.random.default_rng(20).normal(size=500)

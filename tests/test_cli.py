@@ -6,6 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from diffkde import (
+    bin_linear,
+    gauss_kde_spectral,
+    isj2d_select,
+    isj_select,
+    make_grid,
+)
 from diffkde.cli import main
 
 
@@ -46,6 +53,22 @@ class TestBandwidthCommand:
                      "--output", str(out)]) == 2
         assert "empty sample" in capsys.readouterr().err
 
+    def test_zero_range_sample_is_an_input_error(self, tmp_path, capsys):
+        src = tmp_path / "const.txt"
+        src.write_text("3.0\n" * 50)
+        assert main(["bandwidth", "--input", str(src),
+                     "--output", str(tmp_path / "bw.json")]) == 2
+        assert "zero range" in capsys.readouterr().err
+
+    def test_two_dimensional_grid_options_reach_the_selector(self, sample2d_file, tmp_path):
+        path, p = sample2d_file
+        out = tmp_path / "bw2.json"
+        assert main(["bandwidth", "--input", str(path), "--output", str(out),
+                     "--dims", "2", "--grid-n-2d", "64", "--pad", "0.2"]) == 0
+        doc = json.loads(out.read_text())
+        t_star, t1, t2, _ = isj2d_select(p, n=64, pad_fraction=0.2)
+        assert (doc["t_star_unit"], doc["t_x1"], doc["t_x2"]) == (t_star, t1, t2)
+
     def test_two_dimensional_report(self, sample2d_file, tmp_path):
         path, _ = sample2d_file
         out = tmp_path / "bw2.json"
@@ -70,6 +93,16 @@ class TestDensityCommand:
         lines = a.read_text().strip().splitlines()
         assert len(lines) == 4096 + 1
         assert lines[0].startswith("# integral=")
+
+    def test_grid_options_reach_the_selector(self, sample_file, tmp_path):
+        path, x = sample_file
+        out = tmp_path / "g.csv"
+        assert main(["density", "--input", str(path), "--output", str(out),
+                     "--method", "gauss", "--grid-n", "4096", "--pad", "0.3"]) == 0
+        vals = np.loadtxt(out, delimiter=",", comments="#")[:, 1]
+        grid = make_grid(x, n=4096, pad_fraction=0.3)
+        t = isj_select(x, n=4096, pad_fraction=0.3).t_star
+        np.testing.assert_array_equal(vals, gauss_kde_spectral(bin_linear(x, grid), t).values)
 
     def test_diffusion_integral_header(self, sample_file, tmp_path):
         path, _ = sample_file

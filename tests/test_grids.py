@@ -11,8 +11,6 @@ from diffkde import (
     bin_linear,
     cosine_moments,
     cosine_synthesis,
-    dct2,
-    idct2,
     integrate,
     make_grid,
     trapezoid_weights,
@@ -106,44 +104,6 @@ class TestBinLinear:
         g = Grid1D(0.0, 1.0, 16)
         with pytest.raises(ValueError, match="outside"):
             bin_linear([1.5], g)
-
-
-class TestDct2:
-    def test_constant_vector_single_coeff(self):
-        g = Grid1D(0.0, 1.0, 32)
-        c = dct2(np.ones(32), g).coeffs
-        assert abs(c[0]) > 0
-        assert np.max(np.abs(c[1:])) < 1e-12
-
-    def test_delta_against_direct_sum(self):
-        # orthonormal type-II: c_k = s_k sum_j w_j cos(pi k (2j+1)/(2n))
-        n = 32
-        g = Grid1D(0.0, 1.0, n)
-        w = np.zeros(n)
-        w[0] = 1.0
-        c = dct2(w, g).coeffs
-        k = np.arange(n)
-        scale = np.where(k == 0, np.sqrt(1.0 / (4 * n)), np.sqrt(1.0 / (2 * n))) * 2.0
-        direct = scale * np.cos(np.pi * k * 1.0 / (2 * n))
-        assert np.allclose(c, direct, atol=1e-12)
-
-    def test_parseval(self):
-        g = Grid1D(0.0, 1.0, 64)
-        w = np.random.default_rng(2).normal(size=64)
-        c = dct2(w, g).coeffs
-        assert np.sum(c * c) == pytest.approx(np.sum(w * w), rel=1e-10)
-
-    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
-    def test_round_trip(self, n):
-        g = Grid1D(0.0, 1.0, n)
-        w = np.random.default_rng(n).normal(size=n)
-        back = idct2(dct2(w, g))
-        assert np.max(np.abs(back - w)) <= 1e-12 * max(1.0, np.abs(w).max())
-
-    def test_length_mismatch(self):
-        g = Grid1D(0.0, 1.0, 16)
-        with pytest.raises(ValueError):
-            dct2(np.ones(8), g)
 
 
 class TestIntegrate:

@@ -20,12 +20,12 @@ from diffkde import (
     make_grid_2d,
     normal_ref_2d_select,
     psi_hat,
-    q_const,
     solve_heat_masked,
     t_stage_2d,
 )
+from diffkde.bandwidth import _Spectrum
 from diffkde.grids import cosine_moments
-from diffkde.kde2d import _diag_entries, _Spectrum2D, _unit_binned_2d
+from diffkde.kde2d import _diag_entries
 
 
 def _unit_grid(n=2 ** 8):
@@ -72,8 +72,8 @@ def iterated_fixed_point_2d(pts, k=4, n=2 ** 8):
     """Plain iteration of t = gamma(t) from 0.05, stopped at an absolute
     step below eps.  Returns (t_star, t_x1, t_x2), or None when 100 steps
     do not reach the stop."""
-    binned, grid = _unit_binned_2d(pts, n, 0.1)
-    spectrum = _Spectrum2D(binned.weights)
+    grid = make_grid_2d(pts, n, 0.1)
+    spectrum = _Spectrum(bin_linear_2d(pts, grid).weights)
     N = pts.shape[0]
     eps = float(np.finfo(float).eps)
     z = 0.05
@@ -94,19 +94,6 @@ def _shapes_2d(rng, N):
     yield "bimodal", z + np.where(rng.random(N) < 0.5, -3.0, 3.0)[:, None]
     u = rng.uniform(-1.0, 1.0, size=(3 * N, 2))
     yield "ellipse", u[(u[:, 0] / 1.0) ** 2 + (u[:, 1] / 0.5) ** 2 < 1.0][:N]
-
-
-class TestQConst:
-    def test_values(self):
-        r = 1.0 / np.sqrt(2.0 * np.pi)
-        assert q_const(0) == pytest.approx(r)
-        assert q_const(1) == pytest.approx(-r)
-        assert q_const(2) == pytest.approx(3.0 * r)
-        assert q_const(3) == pytest.approx(-15.0 * r)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            q_const(-1)
 
 
 class TestBinning2D:
@@ -187,8 +174,8 @@ class TestPsiHat:
 
     def test_held_spectrum_matches_per_call_formula(self):
         pts = np.random.default_rng(32).normal(size=(1000, 2)) * [1.0, 2.0]
-        b, _ = _unit_binned_2d(pts, 2 ** 8, 0.1)
-        spectrum = _Spectrum2D(b.weights)
+        b = bin_linear_2d(pts, make_grid_2d(pts, 2 ** 8, 0.1))
+        spectrum = _Spectrum(b.weights)
         # repeated pairs and times exercise the cached axis factors
         for t in (1e-6, 1e-4, 1e-3, 5e-2, 1e-4):
             for i, j in ((0, 2), (2, 0), (1, 1), (3, 1), (0, 4), (2, 3), (1, 1)):
@@ -202,8 +189,9 @@ class TestStage2D:
         # q(1)q(2) < 0, so level-4 (positive) functionals give a positive bracket
         i, j, N = 1, 2, 800
         pa, pb = 0.4, 0.6  # psi_{i+1,j}, psi_{i,j+1}: i+j even, positive
+        q = {1: -1.0 / np.sqrt(2.0 * np.pi), 2: 3.0 / np.sqrt(2.0 * np.pi)}  # q(j)
         expect = ((1.0 + 2.0 ** (-i - j - 1)) / 3.0 * (
-            -2.0 * q_const(i) * q_const(j)) / (N * (pa + pb))) ** (1.0 / (2 + i + j))
+            -2.0 * q[i] * q[j]) / (N * (pa + pb))) ** (1.0 / (2 + i + j))
         assert t_stage_2d(i, j, pa, pb, N) == pytest.approx(expect, rel=1e-13)
 
     def test_nonpositive_bracket(self):
@@ -253,6 +241,14 @@ class TestSelector2D:
                 assert rep.converged and rep.iterations < 100
                 assert (t_star, t1, t2) == pytest.approx(ref, rel=1e-9), (name, s)
         assert compared >= 12
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_zero_range_axis_raises(self, axis):
+        pts = np.random.default_rng(6).normal(size=(200, 2))
+        pts[:, axis] = 1.5
+        for select in (isj2d_select, normal_ref_2d_select):
+            with pytest.raises(ValueError, match="zero range"):
+                select(pts)
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
