@@ -16,8 +16,8 @@ import numpy as np
 from . import testbed
 from .bandwidth import isj_select, sj_normal_ref_select
 from .comparators import abramson_estimate, hall_park_estimate, lscv_select, sinc_kde
-from .diffusion import build_pilot, diffusion_pipeline, euler_sample
-from .grids import Grid1D, bin_linear, integrate, make_grid
+from .diffusion import build_pilot, diffusion_pipeline, euler_sample, solve_diffusion
+from .grids import bin_linear, integrate, make_grid
 from .kde1d import gauss_kde_spectral, theta_sample
 from .kde2d import (
     DomainMask,
@@ -26,6 +26,7 @@ from .kde2d import (
     integrate_2d,
     isj2d_select,
     make_grid_2d,
+    normal_ref_2d_select,
     solve_heat_masked,
 )
 
@@ -56,109 +57,118 @@ def _read_sample(path: str, dims: int) -> np.ndarray:
 
 def _read_mask(path: str) -> np.ndarray:
     try:
-        m = np.loadtxt(path, delimiter=",")
+        return np.loadtxt(path, delimiter=",").astype(bool)
     except OSError as exc:
         raise ValueError(str(exc)) from None
-    return m.astype(bool)
 
 
-def _parse_selector(spec: str):
-    if spec.startswith("fixed:"):
-        t = float(spec.split(":", 1)[1])
-        if not t > 0:
-            raise ValueError("fixed:t requires t > 0")
-        return "fixed", t
-    if spec not in ("isj", "sj", "lscv"):
-        raise ValueError(f"unknown selector {spec!r}")
-    return spec, None
+_LSCV_METHODS = ("abramson", "sinc", "hallpark")
 
 
-def _select_t(x: np.ndarray, selector: str, t_fixed, args):
-    if selector == "fixed":
-        return t_fixed
-    if selector == "lscv":
-        return lscv_select(x).t
-    sel = isj_select if selector == "isj" else sj_normal_ref_select
-    return sel(x, n=args.grid_n, pad_fraction=args.pad).t_star
+def _resolve(args):
+    """The selector --selector names, or the method's own when it is not
+    given (lscv for the LSCV-based comparators, isj otherwise), checked
+    against what the method and --dims can use: (name, T), T the time of
+    fixed:T and None for the other selectors.  A combination the method
+    cannot use is an input error; no other selector is substituted."""
+    method = getattr(args, "method", None)
+    spec = args.selector or ("lscv" if method in _LSCV_METHODS else "isj")
+    name, _, value = spec.partition(":")
+    name += ":T" if value else ""
+    usable = (["isj", "fixed:T"] if method in ("diffusion", "euler") else
+              ["isj", "sj", "fixed:T"] if args.dims == 2 else ["isj", "sj", "lscv", "fixed:T"])
+    if name not in usable:
+        where = f"{args.command}{f' --method {method}' if method else ''} --dims {args.dims}"
+        raise ValueError(f"selector {spec!r} is not available for {where}; "
+                         f"use one of {', '.join(usable)}")
+    try:
+        t = float(value) if value else None
+    except ValueError:
+        t = float("nan")
+    if t is not None and not t > 0:
+        raise ValueError(f"selector {spec!r}: fixed:T requires a number T > 0")
+    return name, t
 
 
-def _isj2d(pts: np.ndarray, args):
-    return isj2d_select(pts, n=args.grid_n_2d, pad_fraction=args.pad)
+def _select(sample, args):
+    """Run the resolved selector on the sample: (t, report), t the
+    data-scale squared bandwidth in 1D and the (t_x1, t_x2) pair in 2D,
+    report the fields of the bandwidth JSON."""
+    name, t = _resolve(args)
+    if name == "fixed:T":
+        if args.dims == 2:
+            return (t, t), {"t_x1": t, "t_x2": t, "method": "fixed"}
+        return t, {"t_star": t, "method": "fixed"}
+    if args.dims == 2:
+        sel = isj2d_select if name == "isj" else normal_ref_2d_select
+        t_star, t1, t2, report = sel(sample, n=args.grid_n_2d, pad_fraction=args.pad)
+        return (t1, t2), {"t_star_unit": t_star, "t_x1": t1, "t_x2": t2,
+                          "iterations": report.iterations, "converged": report.converged,
+                          "method": report.method, "pad_fraction": report.pad_fraction}
+    if name == "lscv":
+        res = lscv_select(sample)
+        return res.t, {"t_star": res.t, "method": "lscv", "degenerate": res.degenerate}
+    sel = isj_select if name == "isj" else sj_normal_ref_select
+    report = sel(sample, n=args.grid_n, pad_fraction=args.pad)
+    return report.t_star, {
+        "t_star": report.t_star, "t2_star": report.t2_star,
+        "iterations": report.iterations, "converged": report.converged,
+        "method": report.method, "low_sample": report.low_sample,
+        "pad_fraction": report.pad_fraction,
+        "functional_norms": {str(k): v for k, v in report.functional_norms.items()}}
+
+
+def _adaptive(x, args, grid):
+    """Adaptive diffusion on ``grid``: the whole pipeline under isj; under
+    fixed:T, the plug-in pilot and a solve to time T."""
+    name, t = _resolve(args)
+    if name == "isj":
+        return diffusion_pipeline(x, alpha=args.alpha, n=args.grid_n, grid=grid)[0]
+    pilot = build_pilot(x, args.alpha, n=args.grid_n, grid=grid)
+    return solve_diffusion(bin_linear(x, grid), pilot, t)
+
+
+def _write_csv(path, integral, *columns):
+    """An integral header line, then one row per node of the columns."""
+    with open(path, "w") as fh:
+        fh.write(f"# integral={integral!r}\n")
+        for row in zip(*(np.ravel(c).tolist() for c in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def cmd_bandwidth(args) -> int:
-    if args.dims == 2:
-        pts = _read_sample(args.input, 2)
-        t_star, t1, t2, report = _isj2d(pts, args)
-        doc = {"t_star_unit": t_star, "t_x1": t1, "t_x2": t2,
-               "iterations": report.iterations, "converged": report.converged,
-               "method": report.method, "pad_fraction": report.pad_fraction}
-    else:
-        x = _read_sample(args.input, 1)
-        sel = isj_select if args.selector == "isj" else sj_normal_ref_select
-        report = sel(x, n=args.grid_n, pad_fraction=args.pad)
-        doc = {"t_star": report.t_star, "t2_star": report.t2_star,
-               "iterations": report.iterations, "converged": report.converged,
-               "method": report.method, "low_sample": report.low_sample,
-               "pad_fraction": report.pad_fraction,
-               "functional_norms": {str(k): v for k, v
-                                    in report.functional_norms.items()}}
+    _, doc = _select(_read_sample(args.input, args.dims), args)
     with open(args.output, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     return 0
 
 
-def _density_1d(args) -> tuple:
-    x = _read_sample(args.input, 1)
-    selector, t_fixed = _parse_selector(args.selector)
+def cmd_density(args) -> int:
+    x = _read_sample(args.input, args.dims)
+    if args.dims == 2:
+        grid = make_grid_2d(x, n=args.grid_n_2d, pad_fraction=args.pad)
+        binned = bin_linear_2d(x, grid)
+        tt, _ = _select(x, args)
+        est = (gauss_kde_2d(binned, tt) if args.mask is None else
+               solve_heat_masked(binned, DomainMask(grid, _read_mask(args.mask)), tt))
+        n1, n2 = np.meshgrid(grid.x1.nodes, grid.x2.nodes, indexing="ij")
+        _write_csv(args.output, integrate_2d(est.values, grid), n1, n2, est.values)
+        return 0
     grid = make_grid(x, n=args.grid_n, pad_fraction=args.pad)
     if args.method == "diffusion":
-        sol, _ = diffusion_pipeline(x, alpha=args.alpha, n=args.grid_n, grid=grid)
-        return grid.nodes, sol.estimate.values, grid
-    if args.method in ("gauss", "theta"):
-        t = _select_t(x, selector, t_fixed, args)
-        est = gauss_kde_spectral(bin_linear(x, grid), t)
-        return grid.nodes, est.values, grid
-    t = _select_t(x, "lscv" if selector in ("isj", "sj") else selector, t_fixed, args)
-    if args.method == "abramson":
-        vals = abramson_estimate(x, grid.nodes, t=t, t_pilot=t)
-    elif args.method == "sinc":
-        vals = sinc_kde(x, grid.nodes, t)
-    elif args.method == "hallpark":
-        vals = hall_park_estimate(x, grid.nodes, t, beta=float(x.max()))
+        vals = _adaptive(x, args, grid).estimate.values
     else:
-        raise ValueError(f"unknown method {args.method!r}")
-    return grid.nodes, vals, grid
-
-
-def cmd_density(args) -> int:
-    if args.dims == 2:
-        pts = _read_sample(args.input, 2)
-        grid = make_grid_2d(pts, n=args.grid_n_2d, pad_fraction=args.pad)
-        selector, t_fixed = _parse_selector(args.selector)
-        binned = bin_linear_2d(pts, grid)
-        if args.mask is not None:
-            mask = DomainMask(grid, _read_mask(args.mask))
-            t = t_fixed if selector == "fixed" else _isj2d(pts, args)[0]
-            est = solve_heat_masked(binned, mask, t)
+        t, _ = _select(x, args)
+        if args.method in ("gauss", "theta"):
+            vals = gauss_kde_spectral(bin_linear(x, grid), t).values
+        elif args.method == "abramson":
+            vals = abramson_estimate(x, grid.nodes, t=t, t_pilot=t)
+        elif args.method == "sinc":
+            vals = sinc_kde(x, grid.nodes, t)
         else:
-            tt = (t_fixed, t_fixed) if selector == "fixed" else _isj2d(pts, args)[1:3]
-            est = gauss_kde_2d(binned, tt)
-        with open(args.output, "w") as fh:
-            fh.write(f"# integral={integrate_2d(est.values, grid)!r}\n")
-            n1 = grid.x1.nodes
-            n2 = grid.x2.nodes
-            for i in range(grid.x1.n):
-                for j in range(grid.x2.n):
-                    fh.write(f"{float(n1[i])!r},{float(n2[j])!r},"
-                             f"{float(est.values[i, j])!r}\n")
-        return 0
-    nodes, vals, grid = _density_1d(args)
-    with open(args.output, "w") as fh:
-        fh.write(f"# integral={integrate(vals, grid)!r}\n")
-        for xi, vi in zip(nodes, vals):
-            fh.write(f"{float(xi)!r},{float(vi)!r}\n")
+            vals = hall_park_estimate(x, grid.nodes, t, beta=float(x.max()))
+    _write_csv(args.output, integrate(vals, grid), grid.nodes, vals)
     return 0
 
 
@@ -167,28 +177,17 @@ def cmd_sample(args) -> int:
         raise ValueError("count must be positive")
     x = _read_sample(args.input, 1)
     rng = np.random.default_rng(args.seed)
-    selector, t_fixed = _parse_selector(args.selector)
+    grid = make_grid(x, n=args.grid_n, pad_fraction=args.pad)
     if args.method == "theta":
-        grid = make_grid(x, n=args.grid_n, pad_fraction=args.pad)
-        t = _select_t(x, selector, t_fixed, args)
-        t_unit = t / grid.range ** 2
+        t, _ = _select(x, args)
         centers = grid.to_unit(x[rng.integers(0, x.size, size=args.count)])
-        draws = np.array([theta_sample(c, t_unit, rng) for c in centers])
-        draws = grid.lo + draws * grid.range
-    elif args.method == "euler":
-        if selector == "fixed":
-            pilot = build_pilot(x, args.alpha, n=args.grid_n)
-            t = t_fixed
-        else:
-            sol, report = diffusion_pipeline(x, alpha=args.alpha, n=args.grid_n)
-            pilot, t = sol.pilot, report.t_star
-        draws = euler_sample(x, pilot, t, n_steps=args.steps, count=args.count,
-                             rng=rng)
+        draws = grid.lo + theta_sample(centers, t / grid.range ** 2, rng) * grid.range
     else:
-        raise ValueError(f"unknown sampler {args.method!r}")
+        sol = _adaptive(x, args, grid)
+        draws = euler_sample(x, sol.pilot, sol.estimate.t, n_steps=args.steps,
+                             count=args.count, rng=rng)
     with open(args.output, "w") as fh:
-        for d in draws:
-            fh.write(f"{float(d)!r}\n")
+        fh.writelines(f"{d!r}\n" for d in draws.tolist())
     return 0
 
 
@@ -201,7 +200,8 @@ def cmd_benchmark(args) -> int:
         testbed.benchmark_to_csv(result, stem + ".csv")
         testbed.benchmark_to_json(result, stem + ".json")
         print(f"{case}: median ratio {result.ratio_median:.3f} "
-              f"(mean {result.ratio_mean:.3f}, {len(result.pairs)} trials)")
+              f"(mean {result.ratio_mean:.3f}, {len(result.pairs)} trials, "
+              f"{len(result.failures)} failed)")
     return 0
 
 
@@ -210,12 +210,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="density estimation toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, io=True):
-        if io:
-            sp.add_argument("--input", required=True)
-            sp.add_argument("--output", required=True)
-        sp.add_argument("--selector", default="isj",
-                        help="isj | sj | lscv | fixed:t")
+    def common(sp):
+        sp.add_argument("--input", required=True)
+        sp.add_argument("--output", required=True)
+        sp.add_argument("--selector", default=None,
+                        help="isj | sj | lscv | fixed:T (default: the method's own)")
         sp.add_argument("--grid-n", type=int, default=2 ** 14)
         sp.add_argument("--grid-n-2d", type=int, default=2 ** 8)
         sp.add_argument("--pad", type=float, default=0.1)
@@ -229,20 +228,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("density", help="write density values on a grid (CSV)")
     common(sp)
-    sp.add_argument("--method", default="gauss",
-                    help="gauss | theta | diffusion | abramson | sinc | hallpark")
+    sp.add_argument("--method", default="gauss", choices=(
+        "gauss", "theta", "diffusion") + _LSCV_METHODS)
     sp.add_argument("--mask", default=None, help="CSV 0/1 mask (dims=2 only)")
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("sample", help="draw from an estimated density")
     common(sp)
-    sp.add_argument("--method", default="theta", help="theta | euler")
+    sp.add_argument("--method", default="theta", choices=("theta", "euler"))
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--steps", type=int, default=100)
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("benchmark", help="run ISE comparisons")
-    common(sp, io=False)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--case", required=True, help="registry case name or 'all'")
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--trials", type=int, default=10)
@@ -260,8 +259,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.dims == 2 and getattr(args, "mask", None) and args.command != "density":
-            raise ValueError("--mask is only valid with the density subcommand")
         if getattr(args, "mask", None) and args.dims != 2:
             raise ValueError("--mask requires --dims 2")
         return args.func(args)

@@ -25,17 +25,18 @@ class LscvResult:
 
 
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
-    d = x[:, None] - x[None, :]
-    return d * d
+    """Squared differences over the N(N-1)/2 distinct pairs."""
+    i, j = np.triu_indices(x.size, 1)
+    return (x[i] - x[j]) ** 2
 
 
 def _lscv_score(d2: np.ndarray, N: int, t: float) -> float:
-    """LSCV(t) via the exact pairwise identity:
-    ||f_hat||^2 = N^-2 sum phi(d; 2t); the leave-one-out cross term uses
-    phi(d; t) over distinct pairs."""
-    term1 = np.exp(-0.25 * d2 / t).sum() / (N * N * np.sqrt(4.0 * np.pi * t))
-    off = np.exp(-0.5 * d2 / t).sum() - N  # drop the diagonal
-    term2 = 2.0 * off / (N * (N - 1) * np.sqrt(2.0 * np.pi * t))
+    """LSCV(t) from the distinct-pair squared differences d2:
+    ||f_hat||^2 = N^-2 sum_{i,j} phi(d; 2t), the leave-one-out cross term
+    uses phi(d; t), and exp(-d^2/2t) = exp(-d^2/4t)^2 needs no second exp."""
+    e = np.exp(-0.25 * d2 / t)
+    term1 = (N + 2.0 * e.sum()) / (N * N * np.sqrt(4.0 * np.pi * t))
+    term2 = 4.0 * (e * e).sum() / (N * (N - 1) * np.sqrt(2.0 * np.pi * t))
     return term1 - term2
 
 

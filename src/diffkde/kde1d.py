@@ -119,18 +119,20 @@ def theta_estimator(sample, t: float, grid: Grid1D) -> DensityEstimate1D:
     return gauss_kde_spectral(bin_linear(sample, grid), t)
 
 
-def theta_sample(y: float, t: float, rng: np.random.Generator, size=None):
+def theta_sample(y, t: float, rng: np.random.Generator, size=None):
     """Draw from the interval kernel centred at y by reflecting a normal draw.
 
     Y = y + N(0, t) is folded into [0, 1] by reflecting at both endpoints
-    (W = Y mod 2 on [0, 2), then X = W if W <= 1 else 2 - W).
+    (W = Y mod 2 on [0, 2), then X = W if W <= 1 else 2 - W).  An array
+    ``y`` draws once per centre, as one call per centre would.
     """
-    if not 0.0 <= y <= 1.0:
+    y = np.asarray(y, dtype=float)
+    if not np.all((0.0 <= y) & (y <= 1.0)):
         raise ValueError("y must lie in [0, 1]")
     z = rng.normal(y, np.sqrt(t), size=size)
     w = np.mod(z, 2.0)
     x = np.where(w > 1.0, 2.0 - w, w)
-    return float(x) if size is None else x
+    return float(x) if x.ndim == 0 else x
 
 
 def mode_count(estimate: DensityEstimate1D) -> int:

@@ -271,69 +271,67 @@ def gauss_kde_2d(binned2d: BinnedHistogram2D, t) -> DensityEstimate2D:
 
 
 def _masked_operator(mask: DomainMask):
-    """Sparse symmetric S with W du/dt = S u: conservative 5-point fluxes
-    across inside-inside edges only (zero flux elsewhere)."""
+    """Sparse symmetric per-axis (S1, S2) with W du/dt = (t1 S1 + t2 S2) u
+    evolved to time 1: conservative 5-point fluxes across inside-inside
+    edges only (zero flux elsewhere)."""
     g = mask.grid
     n1, n2 = g.shape
     m = mask.inside
     w1 = trapezoid_weights(g.x1)
     w2 = trapezoid_weights(g.x2)
-    W = np.outer(w1, w2)
     ids = -np.ones(g.shape, dtype=np.int64)
-    ids[m] = np.arange(m.sum())
-    rows, cols, vals = [], [], []
+    nin = int(m.sum())
+    ids[m] = np.arange(nin)
 
-    def add_edges(a, b, conduct):
-        rows.extend([a, b, a, b])
-        cols.extend([b, a, a, b])
-        vals.extend([conduct, conduct, -conduct, -conduct])
+    def axis_operator(a, b, conduct):
+        return sparse.coo_matrix(
+            (np.concatenate([conduct, conduct, -conduct, -conduct]),
+             (np.concatenate([a, b, a, b]), np.concatenate([b, a, a, b]))),
+            shape=(nin, nin)).tocsc()
 
     pair = m[:-1, :] & m[1:, :]
-    add_edges(ids[:-1, :][pair], ids[1:, :][pair],
-              0.5 * np.broadcast_to(w2, (n1 - 1, n2))[pair] / g.x1.step)
+    S1 = axis_operator(ids[:-1, :][pair], ids[1:, :][pair],
+                       0.5 * np.broadcast_to(w2, (n1 - 1, n2))[pair] / g.x1.step)
     pair = m[:, :-1] & m[:, 1:]
-    add_edges(ids[:, :-1][pair], ids[:, 1:][pair],
-              0.5 * np.broadcast_to(w1[:, None], (n1, n2 - 1))[pair] / g.x2.step)
-
-    nin = int(m.sum())
-    S = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nin, nin)).tocsc()
-    return S, W[m], ids
+    S2 = axis_operator(ids[:, :-1][pair], ids[:, 1:][pair],
+                       0.5 * np.broadcast_to(w1[:, None], (n1, n2 - 1))[pair] / g.x2.step)
+    return (S1, S2), np.outer(w1, w2)[m]
 
 
-def solve_heat_masked(binned2d: BinnedHistogram2D, mask: DomainMask, t: float,
+def solve_heat_masked(binned2d: BinnedHistogram2D, mask: DomainMask, t,
                      n_steps: int = 128, rannacher: int = 4) -> DensityEstimate2D:
     """Heat flow to time t inside the mask with zero flux at its boundary.
 
-    Implicit stepping: a few backward-Euler start-up steps (delta-like
-    initial data), then uniform Crank-Nicolson.  Mass inside the mask is
-    conserved exactly by the flux construction; outside values are 0.
+    ``t`` is a common data-scale squared bandwidth or a (t_x1, t_x2) pair,
+    as in :func:`gauss_kde_2d`: each axis's edge conductances are scaled
+    by its time and the flow runs to time 1.  Implicit stepping: a few
+    backward-Euler start-up steps (delta-like initial data), then uniform
+    Crank-Nicolson.  Mass inside the mask is conserved exactly by the flux
+    construction; outside values are 0.
     """
     g = binned2d.grid
     if mask.grid != g:
         raise ValueError("mask grid differs from data grid")
-    outside_mass = binned2d.weights[~mask.inside].sum()
-    if outside_mass > 1e-12:
+    if binned2d.weights[~mask.inside].sum() > 1e-12:
         raise ValueError("data mass outside the mask")
-    if t < 0:
+    t1, t2 = (t, t) if np.isscalar(t) else t
+    if not (t1 >= 0 and t2 >= 0):
         raise ValueError("t must be >= 0")
-    S, w, ids = _masked_operator(mask)
-    u = (binned2d.weights / np.outer(trapezoid_weights(g.x1),
-                                     trapezoid_weights(g.x2)))[mask.inside]
-    if t > 0:
+    (S1, S2), w = _masked_operator(mask)
+    u = binned2d.weights[mask.inside] / w
+    if t1 > 0 or t2 > 0:
+        S = t1 * S1 + t2 * S2
         Wd = sparse.diags(w).tocsc()
-        dt_cn = t / n_steps
+        dt_cn = 1.0 / n_steps
         if rannacher > 0:
-            dt_be = dt_cn / max(rannacher, 1)
+            dt_be = dt_cn / rannacher
             lu = splu(Wd - dt_be * S)
             for _ in range(rannacher):
                 u = lu.solve(w * u)
-            t_left = t - rannacher * dt_be
-            dt_cn = t_left / n_steps
+            dt_cn = (1.0 - rannacher * dt_be) / n_steps
         lu = splu(Wd - 0.5 * dt_cn * S)
         for _ in range(n_steps):
             u = lu.solve(w * u + 0.5 * dt_cn * (S @ u))
     vals = np.zeros(g.shape)
     vals[mask.inside] = np.clip(u, 0.0, None)
-    return DensityEstimate2D(g, vals, (float(t), float(t)))
+    return DensityEstimate2D(g, vals, (float(t1), float(t2)))

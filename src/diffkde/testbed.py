@@ -209,7 +209,7 @@ class BenchmarkResult:
     method_b: str
     seed: int
     pairs: list  # (trial, ise_a, ise_b)
-    failures: int
+    failures: list  # (trial, message) of each trial that raised
     ratio_median: float
     ratio_mean: float
 
@@ -231,21 +231,20 @@ def run_benchmark(case: str, N: int, trials: int, method_a: str, method_b: str,
         if m not in METHODS:
             raise KeyError(f"unknown method {m!r}")
     grid = case_grid(target, n=n)
-    pairs = []
-    failures = 0
+    pairs, failures = [], []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         x = target.sample(N, rng)
         try:
             ia = ise((METHODS[method_a](x, grid), grid), target)
             ib = ise((METHODS[method_b](x, grid), grid), target)
-        except (ValueError, ArithmeticError):
-            failures += 1
+        except (ValueError, ArithmeticError) as exc:
+            failures.append((trial, f"{type(exc).__name__}: {exc}"))
             continue
         pairs.append((trial, ia, ib))
     ratios = np.array([a / b for _, a, b in pairs])
     if ratios.size == 0:
-        raise ArithmeticError("all trials failed")
+        raise ArithmeticError("all trials failed (trial {}: {})".format(*failures[0]))
     return BenchmarkResult(case, N, trials, method_a, method_b, seed, pairs,
                            failures, float(np.median(ratios)),
                            float(np.mean(ratios)))
@@ -267,7 +266,7 @@ def benchmark_to_json(result: BenchmarkResult, path: str) -> None:
         "method_a": result.method_a,
         "method_b": result.method_b,
         "seed": result.seed,
-        "failures": result.failures,
+        "failures": [{"trial": t, "message": m} for t, m in result.failures],
         "ratio_median": result.ratio_median,
         "ratio_mean": result.ratio_mean,
         "pairs": [{"trial": t, "ise_a": a, "ise_b": b}

@@ -7,12 +7,29 @@ import numpy as np
 import pytest
 
 from diffkde import (
+    DomainMask,
+    abramson_estimate,
     bin_linear,
+    bin_linear_2d,
+    build_pilot,
+    diffusion_pipeline,
+    euler_sample,
+    gauss_kde_2d,
     gauss_kde_spectral,
+    hall_park_estimate,
     isj2d_select,
     isj_select,
+    lscv_select,
     make_grid,
+    make_grid_2d,
+    normal_ref_2d_select,
+    sinc_kde,
+    sj_normal_ref_select,
+    solve_diffusion,
+    solve_heat_masked,
+    theta_sample,
 )
+from diffkde import testbed
 from diffkde.cli import main
 
 
@@ -208,7 +225,29 @@ class TestBenchmarkCommand:
         assert len(csv_lines) == 4
         doc = json.loads((tmp_path / "bimodal_pm2_N200.json").read_text())
         assert doc["ratio_median"] > 0
-        assert doc["failures"] == 0
+        assert doc["failures"] == []
+
+    def test_summary_counts_failed_trials(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def fails_on_first_call(x, grid):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("no root")
+            return testbed.METHODS["sj"](x, grid)
+
+        monkeypatch.setitem(testbed.METHODS, "isj", fails_on_first_call)
+        assert main(["benchmark", "--case", "bimodal_pm2", "--n", "200",
+                     "--trials", "2", "--seed", "5", "--output", str(tmp_path)]) == 0
+        assert "1 trials, 1 failed" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "bimodal_pm2_N200.json").read_text())
+        assert doc["failures"] == [{"trial": 0, "message": "ValueError: no root"}]
+
+    @pytest.mark.parametrize("option", [["--selector", "lscv"], ["--grid-n", "4096"],
+                                        ["--dims", "2"], ["--alpha", "0.5"]])
+    def test_rejects_options_it_would_ignore(self, option, tmp_path):
+        assert main(["benchmark", "--case", "bimodal_pm2", "--n", "100", "--trials", "1",
+                     "--output", str(tmp_path)] + option) == 2
 
     def test_unknown_case(self, capsys):
         assert main(["benchmark", "--case", "nope"]) == 2
@@ -227,3 +266,133 @@ class TestUsage:
         assert main(["density", "--input", str(path),
                      "--output", str(tmp_path / "o.csv"),
                      "--selector", "nope"]) == 2
+
+
+FIXED = "fixed:0.05"
+SELECTORS = ["isj", "sj", "lscv", FIXED]
+# command id -> (argv, dims); every command runs on --grid-n 4096 / --grid-n-2d 64
+COMMANDS = {
+    "bandwidth": (["bandwidth"], 1),
+    "bandwidth-2d": (["bandwidth", "--dims", "2"], 2),
+    "density-gauss": (["density", "--method", "gauss"], 1),
+    "density-theta": (["density", "--method", "theta"], 1),
+    "density-diffusion": (["density", "--method", "diffusion"], 1),
+    "density-abramson": (["density", "--method", "abramson"], 1),
+    "density-sinc": (["density", "--method", "sinc"], 1),
+    # a grid that ends at the sample maximum, the truncation point
+    "density-hallpark": (["density", "--method", "hallpark", "--pad", "0"], 1),
+    "density-2d": (["density", "--dims", "2"], 2),
+    "density-2d-mask": (["density", "--dims", "2", "--mask"], 2),
+    "sample-theta": (["sample", "--method", "theta", "--count", "300", "--seed", "3"], 1),
+    "sample-euler": (["sample", "--method", "euler", "--count", "300", "--seed", "3",
+                      "--steps", "100"], 1),
+}
+UNUSABLE = {("bandwidth-2d", "lscv"), ("density-2d", "lscv"), ("density-2d-mask", "lscv"),
+            ("density-diffusion", "sj"), ("density-diffusion", "lscv"),
+            ("sample-euler", "sj"), ("sample-euler", "lscv")}
+REPORTED = {"isj": "isj", "sj": "sj_normal_ref", "lscv": "lscv", FIXED: "fixed"}
+REPORTED_2D = {"isj": "isj2d", "sj": "normal_ref_2d", FIXED: "fixed"}
+
+
+def library_t(selector, data, dims, pad):
+    """The bandwidth of a direct library call: t in 1D, (t_x1, t_x2) in 2D."""
+    if selector == FIXED:
+        return (0.05, 0.05) if dims == 2 else 0.05
+    if dims == 2:
+        sel = isj2d_select if selector == "isj" else normal_ref_2d_select
+        return sel(data, n=64, pad_fraction=pad)[1:3]
+    if selector == "lscv":
+        return lscv_select(data).t
+    sel = isj_select if selector == "isj" else sj_normal_ref_select
+    return sel(data, n=4096, pad_fraction=pad).t_star
+
+
+def library_output(command, selector, data, mask):
+    """What the command must write, from direct library calls."""
+    pad = 0.0 if command == "density-hallpark" else 0.1
+    t = library_t(selector, data, COMMANDS[command][1], pad)
+    if command.startswith("density-2d"):
+        grid = make_grid_2d(data, n=64)
+        binned = bin_linear_2d(data, grid)
+        if command == "density-2d":
+            return gauss_kde_2d(binned, t).values.ravel()
+        return solve_heat_masked(binned, DomainMask(grid, mask), t).values.ravel()
+    x = data
+    grid = make_grid(x, n=4096, pad_fraction=pad)
+    if command in ("density-diffusion", "sample-euler"):
+        if selector == "isj":
+            sol = diffusion_pipeline(x, n=4096, grid=grid)[0]
+        else:
+            sol = solve_diffusion(bin_linear(x, grid), build_pilot(x, n=4096, grid=grid), t)
+        if command == "density-diffusion":
+            return sol.estimate.values
+        return euler_sample(x, sol.pilot, sol.estimate.t, n_steps=100, count=300,
+                            rng=np.random.default_rng(3))
+    if command == "sample-theta":
+        rng = np.random.default_rng(3)
+        centres = grid.to_unit(x[rng.integers(0, x.size, size=300)])
+        return grid.lo + theta_sample(centres, t / grid.range ** 2, rng) * grid.range
+    if command in ("density-gauss", "density-theta"):
+        return gauss_kde_spectral(bin_linear(x, grid), t).values
+    if command == "density-abramson":
+        return abramson_estimate(x, grid.nodes, t=t, t_pilot=t)
+    if command == "density-sinc":
+        return sinc_kde(x, grid.nodes, t)
+    return hall_park_estimate(x, grid.nodes, t, beta=float(x.max()))
+
+
+class TestSelectorMatrix:
+    """Every command and --dims under every selector: it runs with exactly
+    the requested selector's bandwidth, or exits 2 naming the selector."""
+
+    @pytest.mark.parametrize("selector", SELECTORS)
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_requested_selector_is_in_effect(self, command, selector, sample_file,
+                                             sample2d_file, tmp_path, capsys):
+        argv, dims = COMMANDS[command]
+        path, data = sample2d_file if dims == 2 else sample_file
+        mask = None
+        if command == "density-2d-mask":
+            mask = np.zeros((64, 64), dtype=bool)
+            mask[2:-2, 2:-2] = True  # the 10% padding holds no data mass
+            np.savetxt(tmp_path / "mask.csv", mask.astype(int), fmt="%d", delimiter=",")
+            argv = argv + [str(tmp_path / "mask.csv")]
+        out = tmp_path / "out"
+        code = main(argv + ["--selector", selector, "--input", str(path),
+                            "--output", str(out), "--grid-n", "4096", "--grid-n-2d", "64"])
+        if (command, selector) in UNUSABLE:
+            assert code == 2
+            assert f"selector {selector!r} is not available" in capsys.readouterr().err
+            return
+        assert code == 0, capsys.readouterr().err
+        if command.startswith("bandwidth"):
+            doc = json.loads(out.read_text())
+            t = library_t(selector, data, dims, 0.1)
+            if dims == 2:
+                assert doc["method"] == REPORTED_2D[selector]
+                assert (doc["t_x1"], doc["t_x2"]) == t
+            else:
+                assert doc["method"] == REPORTED[selector]
+                assert doc["t_star"] == t
+            return
+        if command.startswith("sample"):
+            written = np.loadtxt(out)
+        else:
+            written = np.loadtxt(out, delimiter=",", comments="#")[:, -1]
+        np.testing.assert_array_equal(written, library_output(command, selector, data, mask))
+
+    @pytest.mark.parametrize("method", ["abramson", "sinc"])
+    def test_comparators_default_to_lscv(self, method, sample_file, tmp_path):
+        path, x = sample_file
+        outs = [tmp_path / "default.csv", tmp_path / "lscv.csv"]
+        for out, extra in zip(outs, ([], ["--selector", "lscv"])):
+            assert main(["density", "--method", method, "--input", str(path),
+                         "--output", str(out), "--grid-n", "4096"] + extra) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("spec", ["fixed:abc", "fixed:0", "isj:1", "fixed"])
+    def test_malformed_selector_names_itself(self, spec, sample_file, tmp_path, capsys):
+        path, _ = sample_file
+        assert main(["bandwidth", "--input", str(path), "--output", str(tmp_path / "o"),
+                     "--selector", spec]) == 2
+        assert repr(spec) in capsys.readouterr().err

@@ -2,10 +2,13 @@
 variable-bandwidth (square-root law) estimator, the sinc kernel, and the
 boundary-corrected estimator for truncated data."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from diffkde import comparators, testbed
 from diffkde import (
     abramson_estimate,
     gauss_kde_exact,
@@ -16,7 +19,41 @@ from diffkde import (
 from diffkde.comparators import _LADDER_SIZE, _lscv_score, _pairwise_sq
 
 
+def full_matrix_sq(x):
+    """Squared differences over all N^2 ordered pairs, diagonal included."""
+    d = x[:, None] - x[None, :]
+    return d * d
+
+
+def full_matrix_score(d2, N, t):
+    """LSCV(t) from the full N x N matrix, one exp for each term: the
+    oracle for the distinct-pair score."""
+    term1 = np.exp(-0.25 * d2 / t).sum() / (N * N * np.sqrt(4.0 * np.pi * t))
+    off = np.exp(-0.5 * d2 / t).sum() - N  # drop the diagonal
+    term2 = 2.0 * off / (N * (N - 1) * np.sqrt(2.0 * np.pi * t))
+    return term1 - term2
+
+
 class TestLscvScore:
+    @pytest.mark.parametrize("t", [1e-4, 1e-2, 0.3, 5.0])
+    def test_distinct_pairs_match_full_matrix(self, t):
+        y = np.random.default_rng(42).standard_t(3, size=400)
+        fast = _lscv_score(_pairwise_sq(y), y.size, t)
+        full = full_matrix_score(full_matrix_sq(y), y.size, t)
+        assert abs(fast - full) <= 1e-12 * abs(full)
+
+    @pytest.mark.parametrize("case", sorted(testbed.registry()))
+    def test_selection_matches_full_matrix_selection(self, case, monkeypatch):
+        x = testbed.registry()[case].sample(300, np.random.default_rng([43, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = lscv_select(x)
+            monkeypatch.setattr(comparators, "_pairwise_sq", full_matrix_sq)
+            monkeypatch.setattr(comparators, "_lscv_score", full_matrix_score)
+            full = lscv_select(x)
+        assert abs(fast.t - full.t) <= 1e-6 * full.t
+        assert fast.degenerate == full.degenerate
+
     def test_matches_literal_leave_one_out(self):
         # integral term by fine quadrature, cross term by an explicit
         # leave-one-out loop

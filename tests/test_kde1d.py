@@ -170,6 +170,17 @@ class TestThetaSample:
     def test_y_validation(self):
         with pytest.raises(ValueError):
             theta_sample(1.5, 0.1, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            theta_sample(np.array([0.2, 1.5]), 0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_array_of_centres_matches_per_draw_loop(self, seed):
+        centres = np.random.default_rng([50, seed]).random(10 ** 4)
+        t = 10.0 ** -(seed + 1)
+        rng = np.random.default_rng(seed)
+        loop = np.array([theta_sample(c, t, rng) for c in centres])
+        np.testing.assert_array_equal(
+            theta_sample(centres, t, np.random.default_rng(seed)), loop)
 
 
 class TestModeCount:

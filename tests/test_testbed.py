@@ -9,6 +9,7 @@ from scipy.stats import lognorm, norm
 
 from diffkde import DensityEstimate1D, Grid1D
 from diffkde.testbed import (
+    METHODS,
     GaussianMixture,
     BenchmarkResult,
     benchmark_to_csv,
@@ -191,8 +192,35 @@ class TestRunBenchmark:
         res = run_benchmark("bimodal_pm2", N=200, trials=2, method_a="sj",
                             method_b="sj", seed=0, n=2 ** 12)
         assert res.ratio_median == pytest.approx(1.0)
-        assert res.failures == 0
+        assert res.failures == []
         assert len(res.pairs) == 2
+
+    def test_failed_trials_are_recorded_with_their_reason(self, monkeypatch, tmp_path):
+        calls = []
+
+        def fails_on_second_call(x, grid):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ArithmeticError("selector failed")
+            return METHODS["sj"](x, grid)
+
+        monkeypatch.setitem(METHODS, "isj", fails_on_second_call)
+        res = run_benchmark("bimodal_pm2", N=200, trials=3, method_a="isj",
+                            method_b="sj", seed=0, n=2 ** 12)
+        assert res.failures == [(1, "ArithmeticError: selector failed")]
+        assert [trial for trial, _, _ in res.pairs] == [0, 2]
+        benchmark_to_json(res, str(tmp_path / "out.json"))
+        doc = json.loads((tmp_path / "out.json").read_text())
+        assert doc["failures"] == [{"trial": 1, "message": "ArithmeticError: selector failed"}]
+
+    def test_all_trials_failing_names_the_first_reason(self, monkeypatch):
+        def fails(x, grid):
+            raise ValueError("no root")
+
+        monkeypatch.setitem(METHODS, "isj", fails)
+        with pytest.raises(ArithmeticError, match="trial 0: ValueError: no root"):
+            run_benchmark("bimodal_pm2", N=200, trials=2, method_a="isj",
+                          method_b="sj", seed=0, n=2 ** 12)
 
     def test_deterministic_given_seed(self):
         a = run_benchmark("bimodal_pm2", N=200, trials=2, method_a="isj",
