@@ -261,6 +261,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "mask", None) and args.dims != 2:
             raise ValueError("--mask requires --dims 2")
+        if getattr(args, "dims", 1) == 2 and getattr(args, "method", "gauss") != "gauss":
+            raise ValueError(f"{args.command} --method {args.method} has no --dims 2 form")
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

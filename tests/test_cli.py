@@ -171,6 +171,16 @@ class TestDensityCommand:
         integral = float(lines[0].split("=", 1)[1])
         assert abs(integral - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("method", ["theta", "diffusion", "abramson", "sinc", "hallpark"])
+    def test_two_dimensional_rejects_one_dimensional_methods(self, method, sample2d_file,
+                                                             tmp_path, capsys):
+        path, _ = sample2d_file
+        out = tmp_path / "d2.csv"
+        assert main(["density", "--input", str(path), "--output", str(out),
+                     "--dims", "2", "--method", method, "--selector", "fixed:0.05"]) == 2
+        assert f"--method {method}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSampleCommand:
     def test_deterministic_under_seed(self, sample_file, tmp_path):
@@ -205,6 +215,16 @@ class TestSampleCommand:
                      "--output", str(tmp_path / "o.txt"),
                      "--count", "0"]) == 2
         assert "count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["theta", "euler"])
+    def test_two_dimensional_is_an_input_error(self, method, sample2d_file, tmp_path,
+                                               capsys):
+        path, _ = sample2d_file
+        out = tmp_path / "o.txt"
+        assert main(["sample", "--input", str(path), "--output", str(out),
+                     "--method", method, "--count", "5", "--dims", "2"]) == 2
+        assert "--dims 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_sampler(self, sample_file, tmp_path):
         path, _ = sample_file

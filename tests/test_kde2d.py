@@ -2,9 +2,14 @@
 against a literal double-sum oracle, the fixed-point selector, spectral
 smoothing, and the masked-domain heat solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
+from scipy import ndimage
+from scipy.linalg import expm
+from scipy.special import ive
 
 from diffkde import (
     BinnedHistogram2D,
@@ -25,7 +30,7 @@ from diffkde import (
 )
 from diffkde.bandwidth import _Spectrum
 from diffkde.grids import cosine_moments
-from diffkde.kde2d import _diag_entries
+from diffkde.kde2d import _diag_entries, _masked_operator
 
 
 def _unit_grid(n=2 ** 8):
@@ -377,9 +382,58 @@ class TestMaskedHeat:
         pts = np.column_stack([np.full(50, g.x1.nodes[60]),
                                np.full(50, g.x2.nodes[60])])
         b = bin_linear_2d(pts, g)
-        est = solve_heat_masked(b, mask, 5.0, n_steps=256, rannacher=32)
+        est = solve_heat_masked(b, mask, 5.0)
         v = est.values[inside]
         assert np.ptp(v) < 1e-6 * v.mean()
+
+    @pytest.mark.parametrize("tt", [(0.01, 0.01), (0.02, 0.002), (0.5, 0.5)])
+    @pytest.mark.parametrize("shape", ["interior", "edge", "two_components"])
+    def test_matches_dense_exponential(self, shape, tt):
+        """Against expm(W^-1 S) applied to rough data on a 32^2 grid.  The
+        edge mask holds the half- and quarter-weight nodes of the grid edge;
+        heat moves no mass between the two components of the last mask."""
+        g = _unit_grid(32)
+        X1, X2 = np.meshgrid(g.x1.nodes, g.x2.nodes, indexing="ij")
+        inside = {
+            "interior": (X1 - 0.5) ** 2 + (X2 - 0.5) ** 2 < 0.35 ** 2,
+            "edge": X1 ** 2 + (X2 - 0.3) ** 2 < 0.6 ** 2,
+            "two_components": ((X1 > 0.1) & (X1 < 0.35) & (X2 > 0.1) & (X2 < 0.35))
+            | ((X1 > 0.55) & (X1 < 0.9) & (X2 > 0.5) & (X2 < 0.95)),
+        }[shape]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the two-component mask warns
+            mask = DomainMask(g, inside)
+        wts = np.where(inside, np.random.default_rng(40).random(g.shape), 0.0)
+        b = BinnedHistogram2D(g, wts / wts.sum())
+        (S1, S2), w = _masked_operator(mask)
+        S = (tt[0] * S1 + tt[1] * S2).toarray()
+        ref = expm(S / w[:, None]) @ (b.weights[inside] / w)
+        est = solve_heat_masked(b, mask, tt)
+        assert np.max(np.abs(est.values[inside] - ref)) <= 1e-10 * ref.max()
+        labels, parts = ndimage.label(inside)
+        assert parts == (2 if shape == "two_components" else 1)
+        for j in range(1, parts + 1):
+            part = labels == j
+            mass = integrate_2d(np.where(part, est.values, 0.0), g)
+            assert abs(mass - b.weights[part].sum()) <= 1e-11
+        # the report: Gershgorin bound of W^-1/2 S W^-1/2, the stopping
+        # degree, the mass error and the minimum before clipping
+        stats = est.solver_stats
+        half = 0.5 * np.abs(S / np.sqrt(np.outer(w, w))).sum(axis=1).max()
+        assert stats["method"] == "chebyshev"
+        assert stats["bound"] == pytest.approx(2.0 * half, rel=1e-12)
+        k = stats["degree"]
+        assert k > np.sqrt(half) and ive(k, half) < 1e-13
+        assert k - 1 <= np.sqrt(half) or ive(k - 1, half) >= 1e-13
+        assert stats["mass_error"] <= 1e-11
+        assert stats["min_before_clip"] == pytest.approx(ref.min(), abs=1e-10 * ref.max())
+
+    def test_zero_time_reports_no_work(self):
+        g = _unit_grid(16)
+        b = bin_linear_2d([[0.5, 0.5]], g)
+        est = solve_heat_masked(b, DomainMask(g, np.ones(g.shape, bool)), (0.0, 0.0))
+        assert est.solver_stats["degree"] == 0 and est.solver_stats["mass_error"] == 0.0
+        assert est.integral == pytest.approx(1.0, rel=1e-14)
 
     def test_data_outside_mask_rejected(self):
         g = _unit_grid(2 ** 7)
