@@ -15,10 +15,11 @@ import numpy as np
 
 from diffkde import (
     Grid1D,
+    bin_linear,
     gauss_kde_exact,
+    gauss_kde_spectral,
     hall_park_estimate,
     lscv_select,
-    theta_estimator,
 )
 
 
@@ -35,7 +36,7 @@ def main():
     lo = float(x.min()) - 0.5
     r = 0.0 - lo
     g = Grid1D(0.0, 1.0, 2 ** 12)
-    est = theta_estimator((x - lo) / r, t / r ** 2, g)
+    est = gauss_kde_spectral(bin_linear((x - lo) / r, g), t / r ** 2)
     theta_val = est.values[-1] / r
 
     print("true density at the boundary:        1.000")

@@ -47,7 +47,6 @@ from .kde1d import (
     gauss_kde_exact,
     gauss_kde_spectral,
     mode_count,
-    theta_estimator,
     theta_kernel,
     theta_kernel_cosine,
     theta_kernel_images,

@@ -6,8 +6,8 @@ selector whose top stage is seeded by a normal reference rule.  All
 computation happens on the sample mapped to [0, 1]; the returned t is
 rescaled by the squared data range, which makes both selectors affine
 equivariant by construction.  The cosine moments of the binned sample are
-computed once per selection and held in a spectrum that every stage
-functional reads.
+held in a spectrum (:class:`grids._Spectrum`) that every stage functional
+reads; a caller that also smooths the sample passes that spectrum in.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BinnedHistogram, _as_sample, bin_linear, cosine_moments, make_grid
+from .grids import BinnedHistogram, _sample_spectrum, _Spectrum, _spectrum
 
 # ((6 sqrt 2 - 3)/7)^{2/5}; the ratio between the fixed-point map and the
 # final-stage bandwidth formula.
@@ -61,50 +61,6 @@ def _double_factorial_odd(j: int) -> float:
 def gaussian_reference_norm(j: int, sigma: float) -> float:
     """||f^(j)||^2 for a normal density with standard deviation sigma."""
     return _double_factorial_odd(j) / (2 ** (j + 1) * np.sqrt(np.pi) * sigma ** (2 * j + 1))
-
-
-class _Spectrum:
-    """Cosine power c^2 of one binned sample on the unit interval or unit
-    square, computed once along every axis.
-
-    Caches the axis weights w_k (pi k)^{2j} (w_0 = 1, else 2) per axis and
-    derivative order.  In 1D they carry c_k^2 as well, so each functional
-    is one exp and one dot; in 2D each is two exps and one bilinear form.
-    """
-
-    def __init__(self, weights):
-        c = weights
-        for axis in range(c.ndim):
-            c = cosine_moments(c, axis=axis)
-        self.c2 = c * c
-        self.k2 = [(np.pi * np.arange(n)) ** 2 for n in c.shape]
-        self._weighted = {}
-
-    def _weights(self, axis: int, j: int) -> np.ndarray:
-        p = self._weighted.get((axis, j))
-        if p is None:
-            k2 = self.k2[axis]
-            p = np.where(k2 == 0.0, 1.0, 2.0) * k2 ** j
-            if self.c2.ndim == 1:
-                p *= self.c2
-            self._weighted[(axis, j)] = p
-        return p
-
-    def norm(self, j: int, t: float) -> float:
-        """2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t) of a 1D spectrum;
-        mode 0 carries no power at j >= 1 and is left out of the sum."""
-        return float(self._weights(0, j)[1:] @ np.exp(-self.k2[0][1:] * t))
-
-    def psi(self, i: int, j: int, t: float) -> float:
-        """The signed mixed functional of a 2D spectrum (kde2d.psi_hat)."""
-        a = self._weights(0, i) * np.exp(-self.k2[0] * t)
-        b = self._weights(1, j) * np.exp(-self.k2[1] * t)
-        return float((-1.0) ** (i + j) * (a @ self.c2 @ b))
-
-
-def _spectrum(binned) -> _Spectrum:
-    """The held spectrum itself, or that of a binned histogram (1D or 2D)."""
-    return binned if isinstance(binned, _Spectrum) else _Spectrum(binned.weights)
 
 
 def functional_norm(binned: BinnedHistogram, j: int, t_j: float) -> float:
@@ -220,7 +176,7 @@ def _smallest_fixed_point(f):
     raise ArithmeticError("selector failed: fixed-point refinement stalled")
 
 
-def _select(sample, l: int, n: int, pad_fraction: float, sigma=None):
+def _select(spectrum: _Spectrum, l: int, sigma=None):
     """Shared driver for both selectors; sigma switches the mode.
 
     With sigma None, solve the fixed point t = XI * gamma^[l](t).  With the
@@ -228,13 +184,11 @@ def _select(sample, l: int, n: int, pad_fraction: float, sigma=None):
     from the normal reference's closed-form ||f^(l+2)||^2 instead.  Raises
     ValueError on a sample of zero range.
     """
-    x = _as_sample(sample)
+    x = spectrum.sample
     N = x.size
     if x.min() == x.max():
         raise ValueError("degenerate sample: zero range")
-    grid = make_grid(x, n, pad_fraction)
-    spectrum = _Spectrum(bin_linear(x, grid).weights)
-    R2 = grid.range ** 2
+    R2 = spectrum.grid.range ** 2
 
     if sigma is None:
         z, evaluations = _smallest_fixed_point(
@@ -242,36 +196,32 @@ def _select(sample, l: int, n: int, pad_fraction: float, sigma=None):
         t1, times, norms = gamma_chain(z, l, spectrum, N)
         method = "isj"
     else:
-        t = stage_t(l + 1, gaussian_reference_norm(l + 2, sigma / grid.range), N)
+        t = stage_t(l + 1, gaussian_reference_norm(l + 2, sigma / spectrum.grid.range), N)
         t1, times, norms = gamma_chain(t, l, spectrum, N)
         z, evaluations, method = XI * t1, 0, "sj_normal_ref"
-    return BandwidthReport(
-        t_star=z * R2,
-        t2_star=times[2] * R2,
-        iterations=evaluations,
-        functional_norms=norms,
-        converged=True,
-        method=method,
-        pad_fraction=pad_fraction,
-    )
+    return BandwidthReport(t_star=z * R2, t2_star=times[2] * R2, iterations=evaluations,
+                           functional_norms=norms, converged=True, method=method,
+                           pad_fraction=spectrum.pad_fraction)
 
 
 def isj_select(sample, l: int = 5, n: int = 2 ** 14, pad_fraction: float = 0.1) -> BandwidthReport:
     """Fixed-point plug-in selector: solve t = xi * gamma^[l](t).
 
     Returns the smallest root on the unit-scale bracket [0, 0.1], found by
-    :func:`_smallest_fixed_point` from the cosine moments of the binned
-    sample, computed once.  Raises ArithmeticError when the bracket holds
-    no root.  Samples below 30 points fall back to the normal-reference
-    selector with ``low_sample`` flagged.
+    :func:`_smallest_fixed_point` from the cosine moments of the sample
+    binned on ``make_grid(sample, n, pad_fraction)``, computed once.  A held
+    spectrum of a sample is read as it is, on its own grid; ``n`` and
+    ``pad_fraction`` are then unused.  Raises ArithmeticError when
+    the bracket holds no root.  Samples below 30 points fall back to the
+    normal-reference selector with ``low_sample`` flagged.
     """
-    x = _as_sample(sample)
-    if x.size < _MIN_N:
+    spectrum = _sample_spectrum(sample, n, pad_fraction)
+    if spectrum.sample.size < _MIN_N:
         warnings.warn("sample below 30 points; using normal-reference bandwidth")
-        report = sj_normal_ref_select(x, l=l, n=n, pad_fraction=pad_fraction)
+        report = sj_normal_ref_select(spectrum, l=l)
         report.low_sample = True
         return report
-    return _select(x, l, n, pad_fraction)
+    return _select(spectrum, l)
 
 
 def sj_normal_ref_select(sample, l: int = 5, n: int = 2 ** 14,
@@ -280,7 +230,8 @@ def sj_normal_ref_select(sample, l: int = 5, n: int = 2 ** 14,
 
     The top-stage functional ||f^(l+2)||^2 is taken from the Gaussian
     closed form at the sample standard deviation; the rest of the chain is
-    identical to the fixed-point selector.
+    identical to the fixed-point selector, and a held spectrum is read as
+    in :func:`isj_select`.
     """
-    x = _as_sample(sample)
-    return _select(x, l, n, pad_fraction, sigma=float(np.std(x)))
+    spectrum = _sample_spectrum(sample, n, pad_fraction)
+    return _select(spectrum, l, sigma=float(np.std(spectrum.sample)))

@@ -17,11 +17,10 @@ from . import testbed
 from .bandwidth import isj_select, sj_normal_ref_select
 from .comparators import abramson_estimate, hall_park_estimate, lscv_select, sinc_kde
 from .diffusion import build_pilot, diffusion_pipeline, euler_sample, solve_diffusion
-from .grids import bin_linear, integrate, make_grid
+from .grids import _sample_spectrum, _Spectrum, integrate
 from .kde1d import gauss_kde_spectral, theta_sample
 from .kde2d import (
     DomainMask,
-    bin_linear_2d,
     gauss_kde_2d,
     integrate_2d,
     isj2d_select,
@@ -90,9 +89,18 @@ def _resolve(args):
     return name, t
 
 
-def _select(sample, args):
-    """Run the resolved selector on the sample: (t, report), t the
-    data-scale squared bandwidth in 1D and the (t_x1, t_x2) pair in 2D,
+def _spectrum(x, args) -> _Spectrum:
+    """The command's one spectrum of the sample, on the --grid-n (1D) or
+    --grid-n-2d (2D) grid at --pad.  Selector, smoother, pilot and pipeline
+    all read it; it bins and transforms only when one of them does."""
+    if args.dims == 2:
+        return _Spectrum(x, make_grid_2d(x, n=args.grid_n_2d, pad_fraction=args.pad), args.pad)
+    return _sample_spectrum(x, args.grid_n, args.pad)
+
+
+def _select(spectrum, args):
+    """Run the resolved selector on the spectrum's sample: (t, report), t
+    the data-scale squared bandwidth in 1D and the (t_x1, t_x2) pair in 2D,
     report the fields of the bandwidth JSON."""
     name, t = _resolve(args)
     if name == "fixed:T":
@@ -101,15 +109,15 @@ def _select(sample, args):
         return t, {"t_star": t, "method": "fixed"}
     if args.dims == 2:
         sel = isj2d_select if name == "isj" else normal_ref_2d_select
-        t_star, t1, t2, report = sel(sample, n=args.grid_n_2d, pad_fraction=args.pad)
+        t_star, t1, t2, report = sel(spectrum)
         return (t1, t2), {"t_star_unit": t_star, "t_x1": t1, "t_x2": t2,
                           "iterations": report.iterations, "converged": report.converged,
                           "method": report.method, "pad_fraction": report.pad_fraction}
     if name == "lscv":
-        res = lscv_select(sample)
+        res = lscv_select(spectrum.sample)
         return res.t, {"t_star": res.t, "method": "lscv", "degenerate": res.degenerate}
     sel = isj_select if name == "isj" else sj_normal_ref_select
-    report = sel(sample, n=args.grid_n, pad_fraction=args.pad)
+    report = sel(spectrum)
     return report.t_star, {
         "t_star": report.t_star, "t2_star": report.t2_star,
         "iterations": report.iterations, "converged": report.converged,
@@ -118,14 +126,13 @@ def _select(sample, args):
         "functional_norms": {str(k): v for k, v in report.functional_norms.items()}}
 
 
-def _adaptive(x, args, grid):
-    """Adaptive diffusion on ``grid``: the whole pipeline under isj; under
-    fixed:T, the plug-in pilot and a solve to time T."""
+def _adaptive(spectrum, args):
+    """Adaptive diffusion on the spectrum's grid: the whole pipeline under
+    isj; under fixed:T, the plug-in pilot and a solve to time T."""
     name, t = _resolve(args)
     if name == "isj":
-        return diffusion_pipeline(x, alpha=args.alpha, n=args.grid_n, grid=grid)[0]
-    pilot = build_pilot(x, args.alpha, n=args.grid_n, grid=grid)
-    return solve_diffusion(bin_linear(x, grid), pilot, t)
+        return diffusion_pipeline(spectrum, alpha=args.alpha)[0]
+    return solve_diffusion(spectrum.binned, build_pilot(spectrum, args.alpha), t)
 
 
 def _write_csv(path, integral, *columns):
@@ -137,7 +144,7 @@ def _write_csv(path, integral, *columns):
 
 
 def cmd_bandwidth(args) -> int:
-    _, doc = _select(_read_sample(args.input, args.dims), args)
+    _, doc = _select(_spectrum(_read_sample(args.input, args.dims), args), args)
     with open(args.output, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -145,25 +152,23 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_density(args) -> int:
-    x = _read_sample(args.input, args.dims)
+    spectrum = _spectrum(_read_sample(args.input, args.dims), args)
+    x, grid = spectrum.sample, spectrum.grid
     if args.dims == 2:
-        grid = make_grid_2d(x, n=args.grid_n_2d, pad_fraction=args.pad)
-        binned = bin_linear_2d(x, grid)
-        tt, _ = _select(x, args)
-        est = (gauss_kde_2d(binned, tt) if args.mask is None else
-               solve_heat_masked(binned, DomainMask(grid, _read_mask(args.mask)), tt))
+        tt, _ = _select(spectrum, args)
+        est = (gauss_kde_2d(spectrum, tt) if args.mask is None else
+               solve_heat_masked(spectrum.binned, DomainMask(grid, _read_mask(args.mask)), tt))
         n1, n2 = np.meshgrid(grid.x1.nodes, grid.x2.nodes, indexing="ij")
         _write_csv(args.output, integrate_2d(est.values, grid), n1, n2, est.values)
         return 0
-    grid = make_grid(x, n=args.grid_n, pad_fraction=args.pad)
     if args.method == "diffusion":
-        vals = _adaptive(x, args, grid).estimate.values
+        vals = _adaptive(spectrum, args).estimate.values
     else:
-        t, _ = _select(x, args)
+        t, _ = _select(spectrum, args)
         if args.method in ("gauss", "theta"):
-            vals = gauss_kde_spectral(bin_linear(x, grid), t).values
+            vals = gauss_kde_spectral(spectrum, t).values
         elif args.method == "abramson":
-            vals = abramson_estimate(x, grid.nodes, t=t, t_pilot=t)
+            vals = abramson_estimate(x, grid.nodes, t)
         elif args.method == "sinc":
             vals = sinc_kde(x, grid.nodes, t)
         else:
@@ -177,13 +182,14 @@ def cmd_sample(args) -> int:
         raise ValueError("count must be positive")
     x = _read_sample(args.input, 1)
     rng = np.random.default_rng(args.seed)
-    grid = make_grid(x, n=args.grid_n, pad_fraction=args.pad)
+    spectrum = _spectrum(x, args)
+    grid = spectrum.grid
     if args.method == "theta":
-        t, _ = _select(x, args)
+        t, _ = _select(spectrum, args)
         centers = grid.to_unit(x[rng.integers(0, x.size, size=args.count)])
         draws = grid.lo + theta_sample(centers, t / grid.range ** 2, rng) * grid.range
     else:
-        sol = _adaptive(x, args, grid)
+        sol = _adaptive(spectrum, args)
         draws = euler_sample(x, sol.pilot, sol.estimate.t, n_steps=args.steps,
                              count=args.count, rng=rng)
     with open(args.output, "w") as fh:
@@ -218,16 +224,16 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid-n", type=int, default=2 ** 14)
         sp.add_argument("--grid-n-2d", type=int, default=2 ** 8)
         sp.add_argument("--pad", type=float, default=0.1)
-        sp.add_argument("--alpha", type=float, default=1.0)
-        sp.add_argument("--dims", type=int, choices=(1, 2), default=1)
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("bandwidth", help="write a bandwidth report (JSON)")
     common(sp)
+    sp.add_argument("--dims", type=int, choices=(1, 2), default=1)
     sp.set_defaults(func=cmd_bandwidth)
 
     sp = sub.add_parser("density", help="write density values on a grid (CSV)")
     common(sp)
+    sp.add_argument("--alpha", type=float, default=1.0)
+    sp.add_argument("--dims", type=int, choices=(1, 2), default=1)
     sp.add_argument("--method", default="gauss", choices=(
         "gauss", "theta", "diffusion") + _LSCV_METHODS)
     sp.add_argument("--mask", default=None, help="CSV 0/1 mask (dims=2 only)")
@@ -235,10 +241,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="draw from an estimated density")
     common(sp)
+    sp.add_argument("--alpha", type=float, default=1.0)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--method", default="theta", choices=("theta", "euler"))
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--steps", type=int, default=100)
-    sp.set_defaults(func=cmd_sample)
+    sp.set_defaults(func=cmd_sample, dims=1)
 
     sp = sub.add_parser("benchmark", help="run ISE comparisons")
     sp.add_argument("--seed", type=int, default=0)

@@ -15,6 +15,7 @@ from .kde1d import SQRT_2PI, _normal_cdf, _normal_pdf, gauss_kde_exact
 
 _LADDER_SIZE = 61
 _LADDER_REL = (1e-4, 1.0)  # bounds as fractions of squared data range
+_F0_FLOOR = 1e-10  # Hall-Park: no location shift where the plain KDE is below this
 
 
 @dataclass
@@ -72,20 +73,16 @@ def lscv_select(sample) -> LscvResult:
     return LscvResult(float(np.exp(res.x)), curve)
 
 
-def abramson_estimate(sample, xs, t: float | None = None,
-                      t_pilot: float | None = None) -> np.ndarray:
+def abramson_estimate(sample, xs, t: float) -> np.ndarray:
     """Variable-bandwidth estimator with the square-root law.
 
-    Per-point scales lambda_i^2 = G / f_hat(X_i; t_p), G the geometric
-    mean of the pilot values; both bandwidths default to LSCV picks.
+    Per-point scales lambda_i^2 = G / f_hat(X_i; t), G the geometric mean
+    of the pilot values: the pilot is the fixed-bandwidth estimate at the
+    same squared bandwidth t.
     """
     x = _as_sample(sample)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if t is None:
-        t = lscv_select(x).t
-    if t_pilot is None:
-        t_pilot = t
-    pilot = gauss_kde_exact(x, x, t_pilot)
+    pilot = gauss_kde_exact(x, x, t)
     if pilot.min() <= 0:
         raise ValueError("pilot vanishes at a data point")
     G = float(np.exp(np.mean(np.log(pilot))))
@@ -110,7 +107,6 @@ def sinc_kde(sample, xs, t: float) -> np.ndarray:
 
 
 def hall_park_estimate(sample, xs, t: float, beta: float,
-                       f0_floor: float = 1e-10,
                        apply_shift: bool = True) -> np.ndarray:
     """Boundary-corrected estimator for data truncated from above at beta.
 
@@ -137,8 +133,8 @@ def hall_park_estimate(sample, xs, t: float, beta: float,
     rho = -_normal_pdf(u) / _normal_cdf(u)
     # log-derivative of the shiftless (mass-renormalized) estimator
     # f0 / Phi(u): the raw-KDE term plus the boundary renormalization term
-    dlog = df0 / np.maximum(f0, f0_floor) + _normal_pdf(u) / (h * _normal_cdf(u))
-    alpha = np.where(f0 > f0_floor, t * dlog * rho, 0.0)
+    dlog = df0 / np.maximum(f0, _F0_FLOOR) + _normal_pdf(u) / (h * _normal_cdf(u))
+    alpha = np.where(f0 > _F0_FLOOR, t * dlog * rho, 0.0)
     if not apply_shift:
         alpha = np.zeros_like(alpha)
     zz = (xs[:, None] - x[None, :] + alpha[:, None]) / h

@@ -20,20 +20,20 @@ Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .bandwidth import BandwidthReport, isj_select
+from .bandwidth import isj_select
 from .grids import (
     BinnedHistogram,
     DensityEstimate1D,
     Grid1D,
     _as_sample,
-    bin_linear,
+    _sample_spectrum,
+    _Spectrum,
     integrate,
-    make_grid,
     trapezoid_weights,
 )
 from .kde1d import gauss_kde_spectral
@@ -77,22 +77,29 @@ class DiffusionSolution:
     solver_stats: dict
 
 
+def _spectra(sample, n: int, grid: Grid1D | None):
+    """The spectrum the plug-in selector reads and the one on ``grid``:
+    the same spectrum unless ``grid`` is given and differs from the
+    selector's, as in :func:`diffusion_pipeline`."""
+    selector = _sample_spectrum(sample, n, 0.1)
+    if grid is None or grid == selector.grid:
+        return selector, selector
+    return selector, _Spectrum(selector.sample, grid)
+
+
 def build_pilot(sample, alpha: float = 1.0, n: int = 2 ** 14,
-                grid: Grid1D | None = None, t: float | None = None) -> PilotModel:
-    """Gaussian-KDE pilot at the plug-in bandwidth, floored and renormalized."""
-    x = _as_sample(sample)
-    if t is None:
-        t = isj_select(x, n=n).t_star
-    if grid is None:
-        grid = make_grid(x, n=n)
-    return _pilot(bin_linear(x, grid), alpha, t)
+                grid: Grid1D | None = None) -> PilotModel:
+    """Gaussian-KDE pilot at the plug-in bandwidth, floored and renormalized,
+    on ``grid``; ``sample`` and ``grid`` as in :func:`diffusion_pipeline`."""
+    selector, spectrum = _spectra(sample, n, grid)
+    return _pilot(spectrum, alpha, isj_select(selector).t_star)
 
 
-def _pilot(binned: BinnedHistogram, alpha: float, t: float) -> PilotModel:
-    p = gauss_kde_spectral(binned, t).values.copy()
+def _pilot(spectrum: _Spectrum, alpha: float, t: float) -> PilotModel:
+    p = gauss_kde_spectral(spectrum, t).values.copy()
     p = np.maximum(p, P_FLOOR_REL * p.max())
-    p /= integrate(p, binned.grid)
-    return PilotModel(binned.grid, p, alpha)
+    p /= integrate(p, spectrum.grid)
+    return PilotModel(spectrum.grid, p, alpha)
 
 
 def _operator_bands(pilot: PilotModel):
@@ -230,30 +237,20 @@ def diffusion_pipeline(sample, alpha: float = 1.0, n: int = 2 ** 14,
                        grid: Grid1D | None = None):
     """Full adaptive estimate: pilot, second-stage time, t*, final solve.
 
-    The pilot and the initial condition share one binning of the sample on
-    ``grid`` (by default ``make_grid(sample, n)``).
+    ``sample`` is a sample, selected on ``make_grid(sample, n)``, or a held
+    spectrum, selected on its own grid.  The pilot and the initial
+    condition share one binning on ``grid``, by default the selector's.
     """
-    x = _as_sample(sample)
-    report = isj_select(x, n=n)
-    if grid is None:
-        grid = make_grid(x, n=n)
-    binned = bin_linear(x, grid)
-    pilot = _pilot(binned, alpha, report.t_star)
-    lf = lf_norm(binned, pilot, report.t2_star)
+    selector, spectrum = _spectra(sample, n, grid)
+    x = spectrum.sample
+    report = isj_select(selector)
+    pilot = _pilot(spectrum, alpha, report.t_star)
+    lf = lf_norm(spectrum.binned, pilot, report.t2_star)
     si = sigma_inv_mean(x, pilot)
     t_star = diffusion_t_star(lf, si, x.size)
-    sol = solve_diffusion(binned, pilot, t_star)
-    out_report = BandwidthReport(
-        t_star=t_star,
-        t2_star=report.t2_star,
-        iterations=report.iterations,
-        functional_norms={"lf_norm": lf, "sigma_inv_mean": si, **report.functional_norms},
-        converged=report.converged,
-        method="diffusion",
-        low_sample=report.low_sample,
-        pad_fraction=report.pad_fraction,
-    )
-    return sol, out_report
+    sol = solve_diffusion(spectrum.binned, pilot, t_star)
+    return sol, replace(report, t_star=t_star, method="diffusion", functional_norms={
+        "lf_norm": lf, "sigma_inv_mean": si, **report.functional_norms})
 
 
 def asymptotic_kernel(x, y, t: float, pilot: PilotModel):
@@ -294,16 +291,9 @@ def feller_explosion_check(pilot: PilotModel) -> bool:
         return False
     w = trapezoid_weights(pilot.grid)
     mid = pilot.grid.n // 2
-    for side in ("left", "right"):
-        if side == "right":
-            inv_a = (1.0 / pilot.a)[mid:]
-            inner = np.cumsum((w * pilot.p)[mid:])
-            wx = w[mid:]
-        else:
-            inv_a = (1.0 / pilot.a)[:mid][::-1]
-            inner = np.cumsum((w * pilot.p)[:mid][::-1])
-            wx = w[:mid][::-1]
-        partial = np.cumsum(wx * inv_a * inner)
+    for side in (slice(mid - 1, None, -1), slice(mid, None)):  # left, then right
+        inner = np.cumsum((w * pilot.p)[side])
+        partial = np.cumsum(w[side] * (1.0 / pilot.a)[side] * inner)
         # compare growth over the outer quarter vs the one before it
         q = partial.size // 4
         inc_last = partial[-1] - partial[-q]

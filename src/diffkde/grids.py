@@ -1,5 +1,5 @@
-"""Uniform grids, linear binning, cosine transforms, heat smoothing and
-quadrature.
+"""Uniform grids, linear binning, cosine transforms, quadrature and the
+spectrum of a binned sample.
 
 Everything downstream (spectral smoothing, plug-in bandwidth selection,
 PDE solvers) operates on the uniform node lattices defined here, in one
@@ -10,6 +10,7 @@ endpoints, so the node step is ``(hi - lo) / (n - 1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct
@@ -183,21 +184,90 @@ def cosine_synthesis(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
     return d + sign.reshape(shape) * last
 
 
-def _heat_smooth(weights: np.ndarray, unit_times) -> np.ndarray:
-    """Evolve node weights on the unit interval or square by the zero-flux
-    heat flow, to time ``unit_times[axis]`` along each axis.
+class _Spectrum:
+    """The cosine moments c of one binned sample (1D or 2D), taken once and
+    read by every selector functional and smoother of that sample.
 
-    The one smoother behind both spectral estimators: cosine moments along
-    every axis, damping of mode k by exp(-(pi k)^2 t / 2), synthesis.
+    ``_Spectrum(sample, grid, pad_fraction)`` bins on first use of
+    ``binned`` and transforms on first use of ``c``, so a caller that reads
+    neither does no work; ``pad_fraction`` is the padding ``grid`` was made
+    with, for the selector reports.  ``_Spectrum(binned)`` holds a binned
+    histogram without its sample.  The axis weights w_k (pi k)^{2j} (w_0 = 1,
+    else 2) are cached per axis and order; in 1D they carry c_k^2 too, so a
+    functional is one exp and one dot (in 2D two exps and a bilinear form).
     """
-    c = weights
-    for axis in range(c.ndim):
-        c = cosine_moments(c, axis=axis)
-    for axis, t in enumerate(unit_times):
-        shape = [1] * c.ndim
-        shape[axis] = -1
-        k = np.arange(c.shape[axis]).reshape(shape)
-        c = c * np.exp(-0.5 * (np.pi * k) ** 2 * t)
-    for axis in range(c.ndim):
-        c = cosine_synthesis(c, axis=axis)
-    return c
+
+    def __init__(self, sample, grid=None, pad_fraction=None):
+        if grid is None:  # ``sample`` is a binned histogram
+            self.binned, self.sample, self.grid = sample, None, sample.grid
+        else:
+            self.sample, self.grid = sample, grid
+        self.pad_fraction = pad_fraction
+        self._weighted = {}
+
+    @cached_property
+    def binned(self):
+        if isinstance(self.grid, Grid1D):
+            return bin_linear(self.sample, self.grid)
+        from . import kde2d  # kde2d builds on this module
+        return kde2d.bin_linear_2d(self.sample, self.grid)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        c = self.binned.weights
+        for axis in range(c.ndim):
+            c = cosine_moments(c, axis=axis)
+        return c
+
+    @cached_property
+    def c2(self) -> np.ndarray:
+        return self.c * self.c
+
+    @cached_property
+    def k2(self) -> list:
+        return [(np.pi * np.arange(n)) ** 2 for n in self.c.shape]
+
+    def _weights(self, axis: int, j: int) -> np.ndarray:
+        p = self._weighted.get((axis, j))
+        if p is None:
+            k2 = self.k2[axis]
+            p = np.where(k2 == 0.0, 1.0, 2.0) * k2 ** j
+            if self.c2.ndim == 1:
+                p *= self.c2
+            self._weighted[(axis, j)] = p
+        return p
+
+    def norm(self, j: int, t: float) -> float:
+        """2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t) of a 1D spectrum;
+        mode 0 carries no power at j >= 1 and is left out of the sum."""
+        return float(self._weights(0, j)[1:] @ np.exp(-self.k2[0][1:] * t))
+
+    def psi(self, i: int, j: int, t: float) -> float:
+        """The signed mixed functional of a 2D spectrum (kde2d.psi_hat)."""
+        a = self._weights(0, i) * np.exp(-self.k2[0] * t)
+        b = self._weights(1, j) * np.exp(-self.k2[1] * t)
+        return float((-1.0) ** (i + j) * (a @ self.c2 @ b))
+
+    def smooth(self, unit_times) -> np.ndarray:
+        """The node weights evolved by the zero-flux heat flow to time
+        ``unit_times[axis]`` along each axis: mode k damped by
+        exp(-(pi k)^2 t / 2), then the cosine synthesis."""
+        c = self.c
+        for axis, t in enumerate(unit_times):
+            shape = [1] * c.ndim
+            shape[axis] = -1
+            c = c * np.exp(-0.5 * self.k2[axis].reshape(shape) * t)
+        for axis in range(c.ndim):
+            c = cosine_synthesis(c, axis=axis)
+        return c
+
+
+def _spectrum(binned) -> _Spectrum:
+    """The held spectrum itself, or that of a binned histogram (1D or 2D)."""
+    return binned if isinstance(binned, _Spectrum) else _Spectrum(binned)
+
+
+def _sample_spectrum(sample, n: int, pad_fraction: float) -> _Spectrum:
+    """A held spectrum itself, or that of the sample on ``make_grid``."""
+    return sample if isinstance(sample, _Spectrum) else _Spectrum(
+        _as_sample(sample), make_grid(sample, n, pad_fraction), pad_fraction)

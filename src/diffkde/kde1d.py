@@ -11,14 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from .grids import (
-    BinnedHistogram,
-    DensityEstimate1D,
-    Grid1D,
-    _as_sample,
-    _heat_smooth,
-    bin_linear,
-)
+from .grids import BinnedHistogram, DensityEstimate1D, _as_sample, _spectrum
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -55,17 +48,30 @@ def gauss_kde_exact(sample, xs, t: float) -> np.ndarray:
 def gauss_kde_spectral(binned: BinnedHistogram, t: float) -> DensityEstimate1D:
     """Heat-equation (zero-flux) solution on the grid interval at time t.
 
-    The node weights are smoothed by :func:`grids._heat_smooth` at the unit
-    time t / range^2.  Coincides with the reflection-kernel estimator on
-    the interval; in the interior of a grid padded by at least ~6*sqrt(t)
-    it agrees with :func:`gauss_kde_exact` to a few parts in 1e4.
+    ``binned`` is a binned histogram or the held spectrum of a sample
+    (:class:`grids._Spectrum`), smoothed at the unit time t / range^2.
+    Coincides with the reflection-kernel estimator on the interval; in the
+    interior of a grid padded by at least ~6*sqrt(t) it agrees with
+    :func:`gauss_kde_exact` to a few parts in 1e4.
     """
     if not t > 0:
         raise ValueError("bandwidth t must be positive")
-    grid = binned.grid
-    vals = _heat_smooth(binned.weights, (t / grid.range ** 2,)) / grid.range
+    spectrum = _spectrum(binned)
+    grid = spectrum.grid
+    vals = spectrum.smooth((t / grid.range ** 2,)) / grid.range
     vals[np.abs(vals) < 1e-15] = 0.0
     return DensityEstimate1D(grid, np.clip(vals, 0.0, None), t)
+
+
+def _unit_pairs(x, y):
+    """x and y broadcast together, with a trailing axis for the series
+    terms; both must lie in [0, 1]."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any((x < 0) | (x > 1)) or np.any((y < 0) | (y > 1)):
+        raise ValueError("x and y must lie in [0, 1]")
+    shape = np.broadcast(x, y).shape
+    return np.broadcast_to(x, shape)[..., None], np.broadcast_to(y, shape)[..., None]
 
 
 def theta_kernel_images(x, y, t: float, K: int | None = None):
@@ -74,17 +80,11 @@ def theta_kernel_images(x, y, t: float, K: int | None = None):
     kappa(x, y; t) = sum_k phi(x, 2k + y; t) + phi(x, 2k - y; t), truncated
     where the neglected tail is below 1e-14.  Preferred for small t.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any((x < 0) | (x > 1)) or np.any((y < 0) | (y > 1)):
-        raise ValueError("x and y must lie in [0, 1]")
+    xb, yb = _unit_pairs(x, y)
     if K is None:
         # images at |2k| - 2 or further; keep exp(-(2K-2)^2/(2t)) negligible
         K = max(5, int(np.ceil(1.0 + 0.5 * np.sqrt(2.0 * t * _LOG_TINY))))
     ks = np.arange(-K, K + 1)
-    shape = np.broadcast(x, y).shape
-    xb = np.broadcast_to(x, shape)[..., None]
-    yb = np.broadcast_to(y, shape)[..., None]
     total = _phi(xb - (2 * ks + yb), t) + _phi(xb - (2 * ks - yb), t)
     out = total.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
@@ -92,17 +92,11 @@ def theta_kernel_images(x, y, t: float, K: int | None = None):
 
 def theta_kernel_cosine(x, y, t: float, K: int | None = None):
     """Interval kernel via its cosine series; preferred for larger t."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any((x < 0) | (x > 1)) or np.any((y < 0) | (y > 1)):
-        raise ValueError("x and y must lie in [0, 1]")
+    xb, yb = _unit_pairs(x, y)
     if K is None:
         K = max(5, int(np.ceil(np.sqrt(2.0 * _LOG_TINY / t) / np.pi)))
     ks = np.arange(1, K + 1)
     damp = np.exp(-0.5 * (np.pi * ks) ** 2 * t)
-    shape = np.broadcast(x, y).shape
-    xb = np.broadcast_to(x, shape)[..., None]
-    yb = np.broadcast_to(y, shape)[..., None]
     out = 1.0 + 2.0 * (damp * np.cos(np.pi * ks * xb) * np.cos(np.pi * ks * yb)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -112,11 +106,6 @@ def theta_kernel(x, y, t: float):
     if t < _THETA_SWITCH_T:
         return theta_kernel_images(x, y, t)
     return theta_kernel_cosine(x, y, t)
-
-
-def theta_estimator(sample, t: float, grid: Grid1D) -> DensityEstimate1D:
-    """Reflection-kernel estimator of data living on the grid interval."""
-    return gauss_kde_spectral(bin_linear(sample, grid), t)
 
 
 def theta_sample(y, t: float, rng: np.random.Generator, size=None):

@@ -23,11 +23,9 @@ from .bandwidth import (
     BandwidthReport,
     _double_factorial_odd,
     _smallest_fixed_point,
-    _Spectrum,
-    _spectrum,
     gaussian_reference_norm,
 )
-from .grids import Grid1D, _cells, _heat_smooth, make_grid, trapezoid_weights
+from .grids import Grid1D, _cells, _Spectrum, _spectrum, make_grid, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -201,17 +199,18 @@ def _select_2d(points, k: int, n: int, pad_fraction: float, normal_ref: bool = F
 
     Without normal_ref, solve gamma(t) = t for its smallest root.  With it,
     seed level k+1 from the product-Gaussian closed form at the per-axis
-    sample standard deviations.  Raises ValueError on fewer than 50 points
-    or an axis of zero range.
+    sample standard deviations.  ``points`` is a sample, binned on
+    :func:`make_grid_2d`, or its held spectrum, read on its own grid.
+    Raises ValueError on fewer than 50 points or an axis of zero range.
     """
-    p = _as_sample2d(points)
+    spectrum = points if isinstance(points, _Spectrum) else _Spectrum(
+        _as_sample2d(points), make_grid_2d(points, n=n, pad_fraction=pad_fraction), pad_fraction)
+    p, grid = spectrum.sample, spectrum.grid
     N = p.shape[0]
     if N < 50:
         raise ValueError("need at least 50 points")
     if np.any(p.min(axis=0) == p.max(axis=0)):
         raise ValueError("degenerate sample: zero range")
-    grid = make_grid_2d(p, n=n, pad_fraction=pad_fraction)
-    spectrum = _Spectrum(bin_linear_2d(p, grid).weights)
     if normal_ref:
         s1 = float(np.std(p[:, 0])) / grid.x1.range
         s2 = float(np.std(p[:, 1])) / grid.x2.range
@@ -228,7 +227,7 @@ def _select_2d(points, k: int, n: int, pad_fraction: float, normal_ref: bool = F
     report = BandwidthReport(
         t_star=t_star, t2_star=t_star, iterations=evaluations,
         functional_norms={f"psi_{i}{j}": v for (i, j), v in psis.items()},
-        converged=True, method=method, pad_fraction=pad_fraction)
+        converged=True, method=method, pad_fraction=spectrum.pad_fraction)
     return t_star, t1u * grid.x1.range ** 2, t2u * grid.x2.range ** 2, report
 
 
@@ -237,7 +236,9 @@ def isj2d_select(points, k: int = 4, n: int = 2 ** 8, pad_fraction: float = 0.1)
 
     Solves gamma(t) = t for its smallest root on the unit-square bracket
     [0, 0.1] with the same routine as the 1D selector, from 2D cosine
-    moments of the sample binned on :func:`make_grid_2d`, computed once.
+    moments of the sample binned on :func:`make_grid_2d`, computed once (or
+    of a held spectrum, on its own grid; ``n`` and ``pad_fraction`` are then
+    unused).
     Returns (t_star, t_x1, t_x2, report): the unit-square fixed point and
     the data-scale diagonal squared bandwidths.  Raises ArithmeticError
     when the bracket holds no root, ValueError when an axis has zero range.
@@ -259,14 +260,16 @@ def normal_ref_2d_select(points, k: int = 4, n: int = 2 ** 8,
 def gauss_kde_2d(binned2d: BinnedHistogram2D, t) -> DensityEstimate2D:
     """Separable zero-flux heat smoothing of 2D node weights.
 
-    ``t`` is a common data-scale squared bandwidth or a (t_x1, t_x2) pair;
-    :func:`grids._heat_smooth` smooths each axis at t / range^2.
+    ``binned2d`` is a binned histogram or the held spectrum of a sample;
+    ``t`` is a common data-scale squared bandwidth or a (t_x1, t_x2) pair,
+    each axis smoothed at t / range^2.
     """
     t1, t2 = (t, t) if np.isscalar(t) else t
     if not (t1 > 0 and t2 > 0):
         raise ValueError("bandwidths must be positive")
-    g = binned2d.grid
-    vals = _heat_smooth(binned2d.weights, (t1 / g.x1.range ** 2, t2 / g.x2.range ** 2))
+    spectrum = _spectrum(binned2d)
+    g = spectrum.grid
+    vals = spectrum.smooth((t1 / g.x1.range ** 2, t2 / g.x2.range ** 2))
     vals = vals / (g.x1.range * g.x2.range)
     vals[np.abs(vals) < 1e-15] = 0.0
     return DensityEstimate2D(g, vals, (float(t1), float(t2)))

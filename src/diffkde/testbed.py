@@ -38,36 +38,28 @@ class GaussianMixture:
         if np.any(s <= 0):
             raise ValueError("stds must be positive")
 
-    def pdf(self, x):
+    def _mixed(self, f, x):
+        """x as an array, the nodes ``on`` where the mixture is taken (x > 0
+        under the exp transform, else all) and sum_k w_k f(z; m_k, s_k) at
+        those nodes, z = log x under the exp transform and x otherwise."""
         x = np.asarray(x, dtype=float)
-        if self.exp_transform:
-            out = np.zeros_like(x)
-            pos = x > 0
-            lx = np.log(x[pos])
-            acc = np.zeros_like(lx)
-            for w, m, s in self.components:
-                acc += w * _normal_pdf(lx, m, s)
-            out[pos] = acc / x[pos]
-            return out
-        out = np.zeros_like(x)
+        on = x > 0 if self.exp_transform else np.full(x.shape, True)
+        z = np.log(x[on]) if self.exp_transform else x[on]
+        acc = np.zeros_like(z)
         for w, m, s in self.components:
-            out += w * _normal_pdf(x, m, s)
+            acc += w * f(z, m, s)
+        return x, on, acc
+
+    def pdf(self, x):
+        x, on, acc = self._mixed(_normal_pdf, x)
+        out = np.zeros_like(x)
+        out[on] = acc / x[on] if self.exp_transform else acc
         return out
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.exp_transform:
-            out = np.zeros_like(x)
-            pos = x > 0
-            lx = np.log(x[pos])
-            acc = np.zeros_like(lx)
-            for w, m, s in self.components:
-                acc += w * _normal_cdf(lx, m, s)
-            out[pos] = acc
-            return out
+        x, on, acc = self._mixed(_normal_cdf, x)
         out = np.zeros_like(x)
-        for w, m, s in self.components:
-            out += w * _normal_cdf(x, m, s)
+        out[on] = acc
         return out
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,7 +169,7 @@ def _est_diffusion(x, grid):
 
 def _est_abramson(x, grid):
     t = lscv_select(x).t
-    return abramson_estimate(x, grid.nodes, t=t, t_pilot=t)
+    return abramson_estimate(x, grid.nodes, t)
 
 
 def _est_sinc(x, grid):
@@ -215,8 +207,9 @@ class BenchmarkResult:
 
 
 def run_benchmark(case: str, N: int, trials: int, method_a: str, method_b: str,
-                  seed: int, n: int = 2 ** 14) -> BenchmarkResult:
-    """ISE comparison of two methods over seeded independent trials.
+                  seed: int) -> BenchmarkResult:
+    """ISE comparison of two methods over seeded independent trials on the
+    case's 2^14-node grid.
 
     Per-trial streams come from default_rng([seed, trial]), so results
     are bit-reproducible for a given seed regardless of trial order.
@@ -230,7 +223,7 @@ def run_benchmark(case: str, N: int, trials: int, method_a: str, method_b: str,
     for m in (method_a, method_b):
         if m not in METHODS:
             raise KeyError(f"unknown method {m!r}")
-    grid = case_grid(target, n=n)
+    grid = case_grid(target)
     pairs, failures = [], []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])

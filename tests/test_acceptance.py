@@ -39,7 +39,6 @@ from diffkde import (
     psi_hat,
     solve_diffusion,
     solve_heat_masked,
-    theta_estimator,
     theta_kernel_cosine,
     theta_kernel_images,
     theta_sample,
@@ -117,7 +116,7 @@ def test_criterion_05_boundary_consistency(capsys):
     for trial in range(100):
         rng = np.random.default_rng([200, trial])
         x = rng.beta(1.0, 4.0, size=1000)
-        th.append(theta_estimator(x, t, g).values[0])
+        th.append(gauss_kde_spectral(bin_linear(x, g), t).values[0])
         pl.append(gauss_kde_exact(x, [0.0], t)[0])
     th, pl = np.array(th), np.array(pl)
     dev_t, band_t = abs(th.mean() - 4.0), 3.0 * th.std()
@@ -194,7 +193,7 @@ def test_criterion_06_oracle_equivalences(capsys):
     gu = Grid1D(0.0, 1.0, 2 ** 12)
     pm = PilotModel(gu, np.ones(gu.n), 1.0)
     a = solve_diffusion(bin_linear(xu, gu), pm, 0.01).estimate.values
-    b = theta_estimator(xu, 0.01, gu).values
+    b = gauss_kde_spectral(bin_linear(xu, gu), 0.01).values
     if np.max(np.abs(a - b)) > 1e-6 * b.max():
         fails.append("uniform-pilot-vs-theta")
     ok = not fails

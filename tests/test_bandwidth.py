@@ -16,10 +16,9 @@ from diffkde import (
 from diffkde.bandwidth import (
     XI,
     _LADDER,
-    _Spectrum,
     _smallest_fixed_point,
 )
-from diffkde.grids import bin_linear, cosine_moments, make_grid
+from diffkde.grids import _Spectrum, bin_linear, cosine_moments, make_grid
 from diffkde.testbed import registry
 
 
@@ -57,7 +56,7 @@ def iterated_fixed_point(x, l=5, n=2 ** 14):
     once it oscillates, stopped at an absolute step below eps.  Returns the
     data-scale t, or None when 100 steps do not reach the stop."""
     binned, grid = binned_on_grid(x, n)
-    spectrum = _Spectrum(binned.weights)
+    spectrum = _Spectrum(binned)
     eps = float(np.finfo(float).eps)
     z, prev_step, damped = eps, None, False
     for it in range(1, 101):
@@ -146,7 +145,7 @@ class TestFunctionalNorm:
     def test_held_spectrum_matches_per_call_formula(self):
         x = registry()["claw"].sample(1000, np.random.default_rng(23))
         binned, _ = binned_on_grid(x, 2 ** 14)
-        spectrum = _Spectrum(binned.weights)
+        spectrum = _Spectrum(binned)
         # repeated orders and times exercise the cached weighted powers
         for t in (1e-7, 1e-5, 1e-3, 5e-2, 1e-5):
             for j in (1, 2, 3, 4, 6, 7, 2):

@@ -29,8 +29,10 @@ from diffkde import (
     solve_heat_masked,
     theta_sample,
 )
+import diffkde
 from diffkde import testbed
 from diffkde.cli import main
+from diffkde.grids import _Spectrum
 
 
 @pytest.fixture()
@@ -278,6 +280,20 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("argv, option", [
+        pytest.param(["bandwidth"], ["--seed", "1"], id="bandwidth-seed"),
+        pytest.param(["bandwidth"], ["--alpha", "0.5"], id="bandwidth-alpha"),
+        pytest.param(["density"], ["--seed", "1"], id="density-seed"),
+        pytest.param(["sample", "--count", "5"], ["--dims", "1"], id="sample-dims"),
+    ])
+    def test_rejects_options_it_would_ignore(self, argv, option, sample_file, tmp_path,
+                                             capsys):
+        path, _ = sample_file
+        out = tmp_path / "o"
+        assert main(argv + ["--input", str(path), "--output", str(out)] + option) == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_selector(self, sample_file, tmp_path):
         path, _ = sample_file
         assert main(["density", "--input", str(path),
@@ -355,7 +371,7 @@ def library_output(command, selector, data, mask):
     if command in ("density-gauss", "density-theta"):
         return gauss_kde_spectral(bin_linear(x, grid), t).values
     if command == "density-abramson":
-        return abramson_estimate(x, grid.nodes, t=t, t_pilot=t)
+        return abramson_estimate(x, grid.nodes, t)
     if command == "density-sinc":
         return sinc_kde(x, grid.nodes, t)
     return hall_park_estimate(x, grid.nodes, t, beta=float(x.max()))
@@ -416,3 +432,89 @@ class TestSelectorMatrix:
         assert main(["bandwidth", "--input", str(path), "--output", str(tmp_path / "o"),
                      "--selector", spec]) == 2
         assert repr(spec) in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch):
+    """Count the binnings and cosine transforms, wrapping each of the three
+    functions in every diffkde module that holds it."""
+    modules = [diffkde] + [getattr(diffkde, m) for m in (
+        "bandwidth", "cli", "comparators", "diffusion", "grids", "kde1d", "kde2d",
+        "testbed")]
+    counts = {}
+    for home, name in ((diffkde.grids, "bin_linear"), (diffkde.kde2d, "bin_linear_2d"),
+                       (diffkde.grids, "cosine_moments")):
+        original = getattr(home, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestOneSpectrum:
+    """A command bins its sample once and takes one cosine transform per
+    axis, shared by the selector and the smoother; a command that reads
+    neither does neither."""
+
+    @pytest.mark.parametrize("argv, dims, binnings, transforms", [
+        pytest.param(["bandwidth", "--selector", "isj"], 1, 1, 1, id="bandwidth-isj"),
+        pytest.param(["density", "--method", "gauss"], 1, 1, 1, id="density-gauss"),
+        pytest.param(["density", "--method", "theta", "--selector", "sj"], 1, 1, 1,
+                     id="density-theta-sj"),
+        pytest.param(["density", "--method", "diffusion"], 1, 1, 1, id="density-diffusion"),
+        pytest.param(["density", "--method", "diffusion", "--selector", FIXED], 1, 1, 1,
+                     id="density-diffusion-fixed"),
+        pytest.param(["sample", "--method", "euler", "--count", "50"], 1, 1, 1,
+                     id="sample-euler"),
+        pytest.param(["sample", "--method", "theta", "--count", "50"], 1, 1, 1,
+                     id="sample-theta"),
+        pytest.param(["density", "--dims", "2"], 2, 1, 2, id="density-2d"),
+        pytest.param(["bandwidth", "--selector", "lscv"], 1, 0, 0, id="bandwidth-lscv"),
+        pytest.param(["bandwidth", "--selector", FIXED], 1, 0, 0, id="bandwidth-fixed"),
+        pytest.param(["density", "--method", "abramson"], 1, 0, 0, id="density-abramson"),
+        pytest.param(["density", "--method", "sinc"], 1, 0, 0, id="density-sinc"),
+    ])
+    def test_command_bins_and_transforms_once(self, argv, dims, binnings, transforms,
+                                              sample_file, sample2d_file, tmp_path,
+                                              monkeypatch):
+        path, _ = sample2d_file if dims == 2 else sample_file
+        counts = _count_calls(monkeypatch)
+        assert main(argv + ["--input", str(path), "--output", str(tmp_path / "o"),
+                            "--grid-n", "4096", "--grid-n-2d", "64"]) == 0
+        assert counts["bin_linear"] + counts["bin_linear_2d"] == binnings
+        assert counts["bin_linear_2d"] == (binnings if dims == 2 else 0)
+        assert counts["cosine_moments"] == transforms
+
+    def test_pipeline_without_grid_bins_and_transforms_once(self, sample_file,
+                                                            monkeypatch):
+        _, x = sample_file
+        counts = _count_calls(monkeypatch)
+        diffusion_pipeline(x, n=4096)
+        assert counts == {"bin_linear": 1, "bin_linear_2d": 0, "cosine_moments": 1}
+
+    @pytest.mark.parametrize("selector", ["isj", FIXED])
+    @pytest.mark.parametrize("command", ["density", "sample"])
+    def test_pad_reaches_the_adaptive_path(self, command, selector, sample_file, tmp_path):
+        path, x = sample_file
+        out = tmp_path / "o"
+        argv = (["density", "--method", "diffusion"] if command == "density" else
+                ["sample", "--method", "euler", "--count", "300", "--seed", "3"])
+        assert main(argv + ["--selector", selector, "--pad", "0.3", "--grid-n", "4096",
+                            "--input", str(path), "--output", str(out)]) == 0
+        spectrum = _Spectrum(x, make_grid(x, n=4096, pad_fraction=0.3))
+        if selector == "isj":
+            sol = diffusion_pipeline(spectrum)[0]
+        else:
+            sol = solve_diffusion(spectrum.binned, build_pilot(spectrum), 0.05)
+        if command == "density":
+            written = np.loadtxt(out, delimiter=",", comments="#")[:, 1]
+            np.testing.assert_array_equal(written, sol.estimate.values)
+        else:
+            draws = euler_sample(x, sol.pilot, sol.estimate.t, n_steps=100, count=300,
+                                 rng=np.random.default_rng(3))
+            np.testing.assert_array_equal(np.loadtxt(out), draws)

@@ -125,7 +125,7 @@ class TestAbramson:
         # local scale is 1 and the estimate is the plain KDE
         xs = np.linspace(-2.0, 2.0, 9)
         xp = np.array([-1.0, 1.0])
-        a = abramson_estimate(xp, xs, t=0.09, t_pilot=0.09)
+        a = abramson_estimate(xp, xs, t=0.09)
         b = gauss_kde_exact(xp, xs, 0.09)
         assert np.max(np.abs(a - b)) < 1e-14
 
@@ -149,7 +149,7 @@ class TestAbramson:
         x = rng.standard_t(2, size=500)
         far = np.array([x.max() + 2.0])
         t = 0.05
-        assert abramson_estimate(x, far, t=t, t_pilot=t)[0] > gauss_kde_exact(
+        assert abramson_estimate(x, far, t=t)[0] > gauss_kde_exact(
             x, far, t)[0]
 
 

@@ -20,15 +20,17 @@ from diffkde import (
     euler_sample,
     feller_explosion_check,
     functional_norm,
+    gauss_kde_spectral,
     integrate,
+    isj_select,
     lf_norm,
     make_grid,
     sigma_inv_mean,
     solve_diffusion,
-    theta_estimator,
     trapezoid_weights,
 )
 from diffkde.diffusion import _operator_bands
+from diffkde.grids import _Spectrum
 
 
 def _uniform_pilot(n=2 ** 10, alpha=1.0):
@@ -123,7 +125,7 @@ class TestSolveDiffusion:
         pm = _uniform_pilot(n=2 ** 12)
         t = 0.01
         a = solve_diffusion(bin_linear(x, pm.grid), pm, t).estimate.values
-        b = theta_estimator(x, t, pm.grid).values
+        b = gauss_kde_spectral(bin_linear(x, pm.grid), t).values
         assert np.max(np.abs(a - b)) < 1e-6 * b.max()
 
     def test_long_time_limit_is_the_pilot(self):
@@ -284,6 +286,15 @@ class TestPipeline:
         assert rep.functional_norms["sigma_inv_mean"] == pytest.approx(1.0)
         assert sol.estimate.integral == pytest.approx(1.0, abs=1e-6)
 
+    def test_held_spectrum_is_selected_on_its_own_grid(self):
+        x = np.random.default_rng([100, 1]).normal(size=500)
+        grid = make_grid(x, n=2 ** 12, pad_fraction=0.3)
+        sol, rep = diffusion_pipeline(_Spectrum(x, grid, 0.3))
+        ref = isj_select(x, n=2 ** 12, pad_fraction=0.3)
+        assert sol.estimate.grid == grid
+        assert (rep.t2_star, rep.pad_fraction) == (ref.t2_star, 0.3)
+        np.testing.assert_array_equal(build_pilot(_Spectrum(x, grid)).p, sol.pilot.p)
+
     def test_time_stable_across_grid_resolutions(self):
         x = np.random.default_rng([100, 0]).normal(size=1000)
         t_hi = diffusion_pipeline(x, n=2 ** 14)[1].t_star
@@ -293,7 +304,7 @@ class TestPipeline:
     def test_beats_normal_reference_on_claw(self):
         from diffkde.testbed import run_benchmark
         res = run_benchmark("claw", N=1000, trials=10, method_a="diffusion",
-                            method_b="sj", seed=100, n=2 ** 12)
+                            method_b="sj", seed=100)
         assert res.ratio_median < 1.0
 
 

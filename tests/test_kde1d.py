@@ -12,7 +12,6 @@ from diffkde import (
     integrate,
     make_grid,
     mode_count,
-    theta_estimator,
     theta_kernel,
     theta_kernel_cosine,
     theta_kernel_images,
@@ -109,22 +108,28 @@ class TestThetaKernel:
 
 
 class TestThetaEstimator:
+    """gauss_kde_spectral on the unit interval is the reflection-kernel
+    estimator of data on that interval."""
+
     def test_matches_spectral(self):
-        x = np.random.default_rng(4).uniform(size=400)
+        # data on the nodes bin exactly, so the spectral estimate is the
+        # direct sum of interval kernels
         g = Grid1D(0.0, 1.0, 2 ** 10)
+        x = g.nodes[np.random.default_rng(4).integers(0, g.n, size=400)]
         t = 0.01
-        a = theta_estimator(x, t, g).values
+        a = theta_kernel(g.nodes[:, None], x[None, :], t).mean(axis=1)
         b = gauss_kde_spectral(bin_linear(x, g), t).values
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_single_point_mass(self):
         g = Grid1D(0.0, 1.0, 2 ** 10)
-        est = theta_estimator([0.5], 1e-3, g)
+        est = gauss_kde_spectral(bin_linear([0.5], g), 1e-3)
         assert est.integral == pytest.approx(1.0, abs=1e-6)
 
     def test_uniform_in_the_limit(self):
         g = Grid1D(0.0, 1.0, 2 ** 10)
-        est = theta_estimator(np.random.default_rng(5).uniform(size=100), 50.0, g)
+        est = gauss_kde_spectral(bin_linear(np.random.default_rng(5).uniform(size=100), g),
+                                 50.0)
         assert np.allclose(est.values, 1.0, atol=1e-8)
 
     def test_boundary_value_versus_plain_kde(self):
@@ -134,7 +139,7 @@ class TestThetaEstimator:
         x = rng.beta(1.0, 4.0, size=1000)
         t = 0.05248 ** 2
         g = Grid1D(0.0, 1.0, 2 ** 10)
-        at0 = theta_estimator(x, t, g).values[0]
+        at0 = gauss_kde_spectral(bin_linear(x, g), t).values[0]
         plain = gauss_kde_exact(x, [0.0], t)[0]
         assert abs(at0 - 4.0) < 1.0  # within 25 percent of 4
         assert abs(plain - 2.0) < 0.5
@@ -142,7 +147,7 @@ class TestThetaEstimator:
     def test_data_outside_interval(self):
         g = Grid1D(0.0, 1.0, 2 ** 10)
         with pytest.raises(ValueError):
-            theta_estimator([1.2], 0.01, g)
+            gauss_kde_spectral(bin_linear([1.2], g), 0.01)
 
 
 class TestThetaSample:

@@ -28,8 +28,7 @@ from diffkde import (
     solve_heat_masked,
     t_stage_2d,
 )
-from diffkde.bandwidth import _Spectrum
-from diffkde.grids import cosine_moments
+from diffkde.grids import _Spectrum, cosine_moments
 from diffkde.kde2d import _diag_entries, _masked_operator
 
 
@@ -78,7 +77,7 @@ def iterated_fixed_point_2d(pts, k=4, n=2 ** 8):
     step below eps.  Returns (t_star, t_x1, t_x2), or None when 100 steps
     do not reach the stop."""
     grid = make_grid_2d(pts, n, 0.1)
-    spectrum = _Spectrum(bin_linear_2d(pts, grid).weights)
+    spectrum = _Spectrum(bin_linear_2d(pts, grid))
     N = pts.shape[0]
     eps = float(np.finfo(float).eps)
     z = 0.05
@@ -180,7 +179,7 @@ class TestPsiHat:
     def test_held_spectrum_matches_per_call_formula(self):
         pts = np.random.default_rng(32).normal(size=(1000, 2)) * [1.0, 2.0]
         b = bin_linear_2d(pts, make_grid_2d(pts, 2 ** 8, 0.1))
-        spectrum = _Spectrum(b.weights)
+        spectrum = _Spectrum(b)
         # repeated pairs and times exercise the cached axis factors
         for t in (1e-6, 1e-4, 1e-3, 5e-2, 1e-4):
             for i, j in ((0, 2), (2, 0), (1, 1), (3, 1), (0, 4), (2, 3), (1, 1)):

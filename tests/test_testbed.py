@@ -190,7 +190,7 @@ class TestIse:
 class TestRunBenchmark:
     def test_identical_methods_give_unit_ratio(self):
         res = run_benchmark("bimodal_pm2", N=200, trials=2, method_a="sj",
-                            method_b="sj", seed=0, n=2 ** 12)
+                            method_b="sj", seed=0)
         assert res.ratio_median == pytest.approx(1.0)
         assert res.failures == []
         assert len(res.pairs) == 2
@@ -206,7 +206,7 @@ class TestRunBenchmark:
 
         monkeypatch.setitem(METHODS, "isj", fails_on_second_call)
         res = run_benchmark("bimodal_pm2", N=200, trials=3, method_a="isj",
-                            method_b="sj", seed=0, n=2 ** 12)
+                            method_b="sj", seed=0)
         assert res.failures == [(1, "ArithmeticError: selector failed")]
         assert [trial for trial, _, _ in res.pairs] == [0, 2]
         benchmark_to_json(res, str(tmp_path / "out.json"))
@@ -220,13 +220,13 @@ class TestRunBenchmark:
         monkeypatch.setitem(METHODS, "isj", fails)
         with pytest.raises(ArithmeticError, match="trial 0: ValueError: no root"):
             run_benchmark("bimodal_pm2", N=200, trials=2, method_a="isj",
-                          method_b="sj", seed=0, n=2 ** 12)
+                          method_b="sj", seed=0)
 
     def test_deterministic_given_seed(self):
         a = run_benchmark("bimodal_pm2", N=200, trials=2, method_a="isj",
-                          method_b="sj", seed=3, n=2 ** 12)
+                          method_b="sj", seed=3)
         b = run_benchmark("bimodal_pm2", N=200, trials=2, method_a="isj",
-                          method_b="sj", seed=3, n=2 ** 12)
+                          method_b="sj", seed=3)
         assert a.pairs == b.pairs
 
     def test_unknown_case_and_method(self):
@@ -242,7 +242,7 @@ class TestRunBenchmark:
 
     def test_serialization(self, tmp_path):
         res = run_benchmark("bimodal_pm2", N=200, trials=2, method_a="isj",
-                            method_b="sj", seed=3, n=2 ** 12)
+                            method_b="sj", seed=3)
         csv_path = tmp_path / "out.csv"
         json_path = tmp_path / "out.json"
         benchmark_to_csv(res, str(csv_path))
