@@ -24,6 +24,7 @@ from .grids import BinnedHistogram, _sample_spectrum, _Spectrum, _spectrum
 XI = ((6.0 * np.sqrt(2.0) - 3.0) / 7.0) ** 0.4
 
 _MIN_N = 30
+_L = 5  # the stage chain's depth l
 
 # The smallest fixed point is sought on the paper's unit-scale bracket
 # [0, 0.1], scanned on a log ladder whose neighbours differ by 1.9x (a 10x
@@ -204,8 +205,8 @@ def _select(spectrum: _Spectrum, l: int, sigma=None):
                            pad_fraction=spectrum.pad_fraction)
 
 
-def isj_select(sample, l: int = 5, n: int = 2 ** 14, pad_fraction: float = 0.1) -> BandwidthReport:
-    """Fixed-point plug-in selector: solve t = xi * gamma^[l](t).
+def isj_select(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> BandwidthReport:
+    """Fixed-point plug-in selector: solve t = xi * gamma^[5](t).
 
     Returns the smallest root on the unit-scale bracket [0, 0.1], found by
     :func:`_smallest_fixed_point` from the cosine moments of the sample
@@ -218,20 +219,19 @@ def isj_select(sample, l: int = 5, n: int = 2 ** 14, pad_fraction: float = 0.1) 
     spectrum = _sample_spectrum(sample, n, pad_fraction)
     if spectrum.sample.size < _MIN_N:
         warnings.warn("sample below 30 points; using normal-reference bandwidth")
-        report = sj_normal_ref_select(spectrum, l=l)
+        report = sj_normal_ref_select(spectrum)
         report.low_sample = True
         return report
-    return _select(spectrum, l)
+    return _select(spectrum, _L)
 
 
-def sj_normal_ref_select(sample, l: int = 5, n: int = 2 ** 14,
-                         pad_fraction: float = 0.1) -> BandwidthReport:
+def sj_normal_ref_select(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> BandwidthReport:
     """Multi-stage plug-in selector seeded by the normal reference rule.
 
-    The top-stage functional ||f^(l+2)||^2 is taken from the Gaussian
+    The top-stage functional ||f^(7)||^2 is taken from the Gaussian
     closed form at the sample standard deviation; the rest of the chain is
     identical to the fixed-point selector, and a held spectrum is read as
     in :func:`isj_select`.
     """
     spectrum = _sample_spectrum(sample, n, pad_fraction)
-    return _select(spectrum, l, sigma=float(np.std(spectrum.sample)))
+    return _select(spectrum, _L, sigma=float(np.std(spectrum.sample)))

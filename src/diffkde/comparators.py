@@ -106,16 +106,13 @@ def sinc_kde(sample, xs, t: float) -> np.ndarray:
     return (np.sinc(u / np.pi) / np.pi).mean(axis=1) / h
 
 
-def hall_park_estimate(sample, xs, t: float, beta: float,
-                       apply_shift: bool = True) -> np.ndarray:
+def hall_park_estimate(sample, xs, t: float, beta: float) -> np.ndarray:
     """Boundary-corrected estimator for data truncated from above at beta.
 
     f_hat(x) = sum phi((x - X_i + a(x))/h) / (N h Phi((beta - x)/h)),
     a(x) = t (f0'/f0)(x) rho((beta - x)/h), rho(u) = -phi(u)/Phi(u),
     h = sqrt(t).  rho -> 0 away from the boundary, so the estimator
-    reduces to the mass-renormalized plain KDE in the interior.  With
-    ``apply_shift`` off the location shift a(x) is forced to 0 and only
-    the boundary mass renormalization remains.
+    reduces to the mass-renormalized plain KDE in the interior.
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -135,8 +132,6 @@ def hall_park_estimate(sample, xs, t: float, beta: float,
     # f0 / Phi(u): the raw-KDE term plus the boundary renormalization term
     dlog = df0 / np.maximum(f0, _F0_FLOOR) + _normal_pdf(u) / (h * _normal_cdf(u))
     alpha = np.where(f0 > _F0_FLOOR, t * dlog * rho, 0.0)
-    if not apply_shift:
-        alpha = np.zeros_like(alpha)
     zz = (xs[:, None] - x[None, :] + alpha[:, None]) / h
     num = np.exp(-0.5 * zz * zz).sum(axis=1) / (SQRT_2PI * h)
     return num / (x.size * _normal_cdf(u))

@@ -160,15 +160,10 @@ def _expm_apply(bands: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
 
 
 def _initial_values(ic, pilot: PilotModel) -> np.ndarray:
-    w = trapezoid_weights(pilot.grid)
     if isinstance(ic, BinnedHistogram):
         if ic.grid != pilot.grid:
             raise ValueError("histogram grid differs from pilot grid")
-        return ic.weights / w
-    if isinstance(ic, DensityEstimate1D):
-        if ic.grid != pilot.grid:
-            raise ValueError("estimate grid differs from pilot grid")
-        return ic.values.copy()
+        return ic.weights / trapezoid_weights(pilot.grid)
     u = np.asarray(ic, dtype=float)
     if u.shape != (pilot.grid.n,):
         raise ValueError("initial values length must equal grid.n")
@@ -178,12 +173,12 @@ def _initial_values(ic, pilot: PilotModel) -> np.ndarray:
 def solve_diffusion(ic, pilot: PilotModel, t: float) -> DiffusionSolution:
     """Evolve an initial measure to time t under the pilot diffusion.
 
-    ``ic`` may be a BinnedHistogram (node masses), a DensityEstimate1D, or
-    raw node density values on the pilot grid.  The semi-discrete solution
-    exp(tM) u is evaluated by a 24-node trapezoid rule on an optimized
-    Talbot contour (Trefethen, Weideman & Schmelzer 2006; Weideman &
-    Trefethen 2007): 12 complex tridiagonal resolvent solves whatever t
-    is, with no time steps.  ``solver_stats`` records those solves as
+    ``ic`` is a BinnedHistogram (node masses) or node density values on
+    the pilot grid.  The semi-discrete solution exp(tM) u is evaluated by
+    a 24-node trapezoid rule on an optimized Talbot contour (Trefethen,
+    Weideman & Schmelzer 2006; Weideman & Trefethen 2007): 12 complex
+    tridiagonal resolvent solves whatever t is, with no time steps.
+    ``solver_stats`` records those solves as
     ``steps`` (``rejected`` is always 0), the mass error and the minimum
     before negative round-off is clipped.
     """
@@ -251,75 +246,6 @@ def diffusion_pipeline(sample, alpha: float = 1.0, n: int = 2 ** 14,
     sol = solve_diffusion(spectrum.binned, pilot, t_star)
     return sol, replace(report, t_star=t_star, method="diffusion", functional_norms={
         "lf_norm": lf, "sigma_inv_mean": si, **report.functional_norms})
-
-
-def asymptotic_kernel(x, y, t: float, pilot: PilotModel):
-    """Small-t closed form of the diffusion kernel.
-
-    kappa~(x,y;t) = p(x) / ( sqrt(2 pi t) [p(x)a(x)a(y)p(y)]^{1/4} )
-                    * exp( -s(x,y)^2 / (2t) ),
-    s(x,y) = int_y^x sqrt(p/a), evaluated by cumulative trapezoid sums.
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    nodes = pilot.grid.nodes
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any((x < pilot.grid.lo) | (x > pilot.grid.hi)) or np.any(
-            (y < pilot.grid.lo) | (y > pilot.grid.hi)):
-        raise ValueError("points outside pilot grid")
-    integrand = np.sqrt(pilot.p / pilot.a)
-    cum = np.concatenate(([0.0], np.cumsum(
-        0.5 * (integrand[:-1] + integrand[1:]) * pilot.grid.step)))
-    s = np.interp(x, nodes, cum) - np.interp(y, nodes, cum)
-    px, ax = np.interp(x, nodes, pilot.p), np.interp(x, nodes, pilot.a)
-    py, ay = np.interp(y, nodes, pilot.p), np.interp(y, nodes, pilot.a)
-    out = px / (np.sqrt(2.0 * np.pi * t) * (px * ax * ay * py) ** 0.25) * np.exp(
-        -0.5 * s * s / t)
-    return float(out) if out.ndim == 0 else out
-
-
-def feller_explosion_check(pilot: PilotModel) -> bool:
-    """Decide whether the pilot diffusion explodes in finite time.
-
-    The process explodes iff the iterated tail integral
-    int int p(y)/a(x) dy dx converges on either side.  On the grid the
-    partial integrals are examined toward each edge: geometric decay of
-    the increments marks convergence; a ~= 1 is always nonexplosive.
-    """
-    if np.allclose(pilot.a, 1.0):
-        return False
-    w = trapezoid_weights(pilot.grid)
-    mid = pilot.grid.n // 2
-    for side in (slice(mid - 1, None, -1), slice(mid, None)):  # left, then right
-        inner = np.cumsum((w * pilot.p)[side])
-        partial = np.cumsum(w[side] * (1.0 / pilot.a)[side] * inner)
-        # compare growth over the outer quarter vs the one before it
-        q = partial.size // 4
-        inc_last = partial[-1] - partial[-q]
-        inc_prev = partial[-q] - partial[-2 * q]
-        if inc_prev <= 0 or inc_last < 0.25 * inc_prev:
-            return True
-    return False
-
-
-def csiszar_divergence(g: DensityEstimate1D, p, alpha_div: float) -> float:
-    """f-divergence D(g -> p) with psi(x) = (x^a - x)/(a(a-1)).
-
-    Limits a -> 1 and a -> 0 are the two Kullback-Leibler directions;
-    a = 2 is half the Pearson chi-square distance.
-    """
-    pv = p.p if isinstance(p, PilotModel) else np.asarray(p, dtype=float)
-    grid = g.grid
-    gv = np.maximum(g.values, 1e-300)
-    pv = np.maximum(pv, 1e-300)
-    if alpha_div == 1.0:
-        return float(integrate(gv * np.log(gv / pv), grid))
-    if alpha_div == 0.0:
-        return float(integrate(pv * np.log(pv / gv), grid))
-    a = alpha_div
-    val = integrate(pv ** (1.0 - a) * gv ** a, grid)
-    return float((val - 1.0) / (a * (a - 1.0)))
 
 
 def euler_sample(sample, pilot: PilotModel, t_star: float, n_steps: int,

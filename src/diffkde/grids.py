@@ -77,10 +77,6 @@ class DensityEstimate1D:
             raise ValueError(f"density dips below -1e-12 (min {v.min():.3e})")
         object.__setattr__(self, "values", np.clip(v, 0.0, None))
 
-    @property
-    def integral(self) -> float:
-        return integrate(self.values, self.grid)
-
 
 def _as_sample(sample) -> np.ndarray:
     x = np.asarray(sample, dtype=float).ravel()

@@ -15,11 +15,6 @@ from .grids import BinnedHistogram, DensityEstimate1D, _as_sample, _spectrum
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# Switch between image and cosine series for the interval kernel; both are
-# converged well past machine precision at this scale.
-_THETA_SWITCH_T = 0.01
-_LOG_TINY = 40.0  # exp(-40) < 5e-18, safely below every tolerance used here
-
 
 def _normal_pdf(x, mean=0.0, std=1.0) -> np.ndarray:
     """N(mean, std^2) density, in the floating-point steps of scipy.stats.norm."""
@@ -63,51 +58,6 @@ def gauss_kde_spectral(binned: BinnedHistogram, t: float) -> DensityEstimate1D:
     return DensityEstimate1D(grid, np.clip(vals, 0.0, None), t)
 
 
-def _unit_pairs(x, y):
-    """x and y broadcast together, with a trailing axis for the series
-    terms; both must lie in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any((x < 0) | (x > 1)) or np.any((y < 0) | (y > 1)):
-        raise ValueError("x and y must lie in [0, 1]")
-    shape = np.broadcast(x, y).shape
-    return np.broadcast_to(x, shape)[..., None], np.broadcast_to(y, shape)[..., None]
-
-
-def theta_kernel_images(x, y, t: float, K: int | None = None):
-    """Interval kernel via reflected Gaussian images.
-
-    kappa(x, y; t) = sum_k phi(x, 2k + y; t) + phi(x, 2k - y; t), truncated
-    where the neglected tail is below 1e-14.  Preferred for small t.
-    """
-    xb, yb = _unit_pairs(x, y)
-    if K is None:
-        # images at |2k| - 2 or further; keep exp(-(2K-2)^2/(2t)) negligible
-        K = max(5, int(np.ceil(1.0 + 0.5 * np.sqrt(2.0 * t * _LOG_TINY))))
-    ks = np.arange(-K, K + 1)
-    total = _phi(xb - (2 * ks + yb), t) + _phi(xb - (2 * ks - yb), t)
-    out = total.sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def theta_kernel_cosine(x, y, t: float, K: int | None = None):
-    """Interval kernel via its cosine series; preferred for larger t."""
-    xb, yb = _unit_pairs(x, y)
-    if K is None:
-        K = max(5, int(np.ceil(np.sqrt(2.0 * _LOG_TINY / t) / np.pi)))
-    ks = np.arange(1, K + 1)
-    damp = np.exp(-0.5 * (np.pi * ks) ** 2 * t)
-    out = 1.0 + 2.0 * (damp * np.cos(np.pi * ks * xb) * np.cos(np.pi * ks * yb)).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def theta_kernel(x, y, t: float):
-    """Interval kernel, choosing the faster converging representation."""
-    if t < _THETA_SWITCH_T:
-        return theta_kernel_images(x, y, t)
-    return theta_kernel_cosine(x, y, t)
-
-
 def theta_sample(y, t: float, rng: np.random.Generator, size=None):
     """Draw from the interval kernel centred at y by reflecting a normal draw.
 
@@ -122,13 +72,3 @@ def theta_sample(y, t: float, rng: np.random.Generator, size=None):
     w = np.mod(z, 2.0)
     x = np.where(w > 1.0, 2.0 - w, w)
     return float(x) if x.ndim == 0 else x
-
-
-def mode_count(estimate: DensityEstimate1D) -> int:
-    """Number of strict interior local maxima; plateaus count once."""
-    v = estimate.values
-    d = np.sign(np.diff(v))
-    d = d[d != 0]
-    if d.size == 0:
-        return 0
-    return int(np.sum((d[:-1] > 0) & (d[1:] < 0)))

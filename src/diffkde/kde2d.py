@@ -27,6 +27,8 @@ from .bandwidth import (
 )
 from .grids import Grid1D, _cells, _Spectrum, _spectrum, make_grid, trapezoid_weights
 
+_K = 4  # the level the psi recursion starts from
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -62,10 +64,6 @@ class DensityEstimate2D:
         if v.shape != self.grid.shape:
             raise ValueError("values shape must match grid")
         object.__setattr__(self, "values", np.clip(v, 0.0, None))
-
-    @property
-    def integral(self) -> float:
-        return integrate_2d(self.values, self.grid)
 
 
 @dataclass(frozen=True)
@@ -231,30 +229,29 @@ def _select_2d(points, k: int, n: int, pad_fraction: float, normal_ref: bool = F
     return t_star, t1u * grid.x1.range ** 2, t2u * grid.x2.range ** 2, report
 
 
-def isj2d_select(points, k: int = 4, n: int = 2 ** 8, pad_fraction: float = 0.1):
+def isj2d_select(points, n: int = 2 ** 8, pad_fraction: float = 0.1):
     """2D fixed-point bandwidth selection.
 
-    Solves gamma(t) = t for its smallest root on the unit-square bracket
-    [0, 0.1] with the same routine as the 1D selector, from 2D cosine
-    moments of the sample binned on :func:`make_grid_2d`, computed once (or
-    of a held spectrum, on its own grid; ``n`` and ``pad_fraction`` are then
-    unused).
+    Solves gamma(t) = t (the recursion started at level 4) for its smallest
+    root on the unit-square bracket [0, 0.1] with the same routine as the 1D
+    selector, from 2D cosine moments of the sample binned on
+    :func:`make_grid_2d`, computed once (or of a held spectrum, on its own
+    grid; ``n`` and ``pad_fraction`` are then unused).
     Returns (t_star, t_x1, t_x2, report): the unit-square fixed point and
     the data-scale diagonal squared bandwidths.  Raises ArithmeticError
     when the bracket holds no root, ValueError when an axis has zero range.
     """
-    return _select_2d(points, k, n, pad_fraction)
+    return _select_2d(points, _K, n, pad_fraction)
 
 
-def normal_ref_2d_select(points, k: int = 4, n: int = 2 ** 8,
-                         pad_fraction: float = 0.1):
+def normal_ref_2d_select(points, n: int = 2 ** 8, pad_fraction: float = 0.1):
     """Plug-in selection seeded at the top level by a normal reference.
 
-    Level k+1 functionals are taken from the product-Gaussian closed form
+    Level 5 functionals are taken from the product-Gaussian closed form
     psi_{i,j} = (-1)^{i+j} ||f1^(i)||^2 ||f2^(j)||^2 at the per-axis
     sample standard deviations; the rest of the recursion is data driven.
     """
-    return _select_2d(points, k, n, pad_fraction, normal_ref=True)
+    return _select_2d(points, _K, n, pad_fraction, normal_ref=True)
 
 
 def gauss_kde_2d(binned2d: BinnedHistogram2D, t) -> DensityEstimate2D:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -70,19 +71,14 @@ class GaussianMixture:
         z = rng.normal(means, stds)
         return np.exp(z) if self.exp_transform else z
 
-    def mean(self) -> float:
+    def support(self):
+        """Ten standard deviations past the outermost components; under the
+        exp transform [0, exp(m + 5.5 s)], as a 10-sigma log range would be
+        uselessly wide."""
         if self.exp_transform:
-            return float(sum(w * np.exp(m + 0.5 * s * s)
-                             for w, m, s in self.components))
-        return float(sum(w * m for w, m, _ in self.components))
-
-    def support(self, sigmas: float = 10.0):
-        lo = min(m - sigmas * s for _, m, s in self.components)
-        hi = max(m + sigmas * s for _, m, s in self.components)
-        if self.exp_transform:
-            # quantile-based: a 10-sigma log range would be uselessly wide
             return 0.0, float(np.exp(max(m + 5.5 * s for _, m, s in self.components)))
-        return float(lo), float(hi)
+        return (float(min(m - 10.0 * s for _, m, s in self.components)),
+                float(max(m + 10.0 * s for _, m, s in self.components)))
 
 
 def _mix(name, comps, **kw):
@@ -151,35 +147,34 @@ def ise(estimate, target) -> float:
 
 
 # --- estimation methods available to the benchmark runner -------------------
+# Each takes the trial's sample, the case grid and ``lscv_t``, which returns
+# the sample's LSCV bandwidth, selected once per trial for both methods.
 
-def _est_isj(x, grid):
+def _est_isj(x, grid, lscv_t):
     t = isj_select(x).t_star
     return gauss_kde_spectral(bin_linear(x, grid), t).values
 
 
-def _est_sj(x, grid):
+def _est_sj(x, grid, lscv_t):
     t = sj_normal_ref_select(x).t_star
     return gauss_kde_spectral(bin_linear(x, grid), t).values
 
 
-def _est_diffusion(x, grid):
+def _est_diffusion(x, grid, lscv_t):
     sol, _ = diffusion_pipeline(x, alpha=1.0, grid=grid)
     return sol.estimate.values
 
 
-def _est_abramson(x, grid):
-    t = lscv_select(x).t
-    return abramson_estimate(x, grid.nodes, t)
+def _est_abramson(x, grid, lscv_t):
+    return abramson_estimate(x, grid.nodes, lscv_t())
 
 
-def _est_sinc(x, grid):
-    t = lscv_select(x).t
-    return sinc_kde(x, grid.nodes, t)
+def _est_sinc(x, grid, lscv_t):
+    return sinc_kde(x, grid.nodes, lscv_t())
 
 
-def _est_hallpark(x, grid):
-    t = lscv_select(x).t
-    return hall_park_estimate(x, grid.nodes, t, beta=grid.hi)
+def _est_hallpark(x, grid, lscv_t):
+    return hall_park_estimate(x, grid.nodes, lscv_t(), beta=grid.hi)
 
 
 METHODS = {
@@ -228,9 +223,10 @@ def run_benchmark(case: str, N: int, trials: int, method_a: str, method_b: str,
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         x = target.sample(N, rng)
+        lscv_t = cache(lambda: lscv_select(x).t)
         try:
-            ia = ise((METHODS[method_a](x, grid), grid), target)
-            ib = ise((METHODS[method_b](x, grid), grid), target)
+            ia = ise((METHODS[method_a](x, grid, lscv_t), grid), target)
+            ib = ise((METHODS[method_b](x, grid, lscv_t), grid), target)
         except (ValueError, ArithmeticError) as exc:
             failures.append((trial, f"{type(exc).__name__}: {exc}"))
             continue

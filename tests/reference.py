@@ -1,0 +1,144 @@
+"""Reference forms that only the tests read: the two series of the interval
+(theta) kernel, the small-t closed form of the diffusion kernel, the Feller
+explosion test of a pilot, the Csiszar divergence, a mode counter and the
+mean of a benchmark mixture.
+
+Named ``reference`` rather than ``oracles``: ``tests/`` and ``bench/`` are
+both top-level module roots in one pytest run, and ``bench/workloads.py``
+imports its own ``oracles`` module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from diffkde import DensityEstimate1D, integrate
+from diffkde.diffusion import PilotModel
+from diffkde.grids import trapezoid_weights
+from diffkde.kde1d import _phi
+
+_LOG_TINY = 40.0  # exp(-40) < 5e-18, safely below every tolerance used here
+
+
+def _unit_pairs(x, y):
+    """x and y broadcast together, with a trailing axis for the series
+    terms; both must lie in [0, 1]."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any((x < 0) | (x > 1)) or np.any((y < 0) | (y > 1)):
+        raise ValueError("x and y must lie in [0, 1]")
+    shape = np.broadcast(x, y).shape
+    return np.broadcast_to(x, shape)[..., None], np.broadcast_to(y, shape)[..., None]
+
+
+def theta_kernel_images(x, y, t: float, K: int | None = None):
+    """Interval kernel via reflected Gaussian images.
+
+    kappa(x, y; t) = sum_k phi(x, 2k + y; t) + phi(x, 2k - y; t), truncated
+    where the neglected tail is below 1e-14.  Preferred for small t.
+    """
+    xb, yb = _unit_pairs(x, y)
+    if K is None:
+        # images at |2k| - 2 or further; keep exp(-(2K-2)^2/(2t)) negligible
+        K = max(5, int(np.ceil(1.0 + 0.5 * np.sqrt(2.0 * t * _LOG_TINY))))
+    ks = np.arange(-K, K + 1)
+    total = _phi(xb - (2 * ks + yb), t) + _phi(xb - (2 * ks - yb), t)
+    out = total.sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def theta_kernel_cosine(x, y, t: float, K: int | None = None):
+    """Interval kernel via its cosine series; preferred for larger t."""
+    xb, yb = _unit_pairs(x, y)
+    if K is None:
+        K = max(5, int(np.ceil(np.sqrt(2.0 * _LOG_TINY / t) / np.pi)))
+    ks = np.arange(1, K + 1)
+    damp = np.exp(-0.5 * (np.pi * ks) ** 2 * t)
+    out = 1.0 + 2.0 * (damp * np.cos(np.pi * ks * xb) * np.cos(np.pi * ks * yb)).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def mode_count(estimate: DensityEstimate1D) -> int:
+    """Number of strict interior local maxima; plateaus count once."""
+    v = estimate.values
+    d = np.sign(np.diff(v))
+    d = d[d != 0]
+    if d.size == 0:
+        return 0
+    return int(np.sum((d[:-1] > 0) & (d[1:] < 0)))
+
+
+def mixture_mean(mixture) -> float:
+    """Mean of a testbed GaussianMixture (of exp(Z) under its exp transform)."""
+    if mixture.exp_transform:
+        return float(sum(w * np.exp(m + 0.5 * s * s) for w, m, s in mixture.components))
+    return float(sum(w * m for w, m, _ in mixture.components))
+
+
+def asymptotic_kernel(x, y, t: float, pilot: PilotModel):
+    """Small-t closed form of the diffusion kernel.
+
+    kappa~(x,y;t) = p(x) / ( sqrt(2 pi t) [p(x)a(x)a(y)p(y)]^{1/4} )
+                    * exp( -s(x,y)^2 / (2t) ),
+    s(x,y) = int_y^x sqrt(p/a), evaluated by cumulative trapezoid sums.
+    """
+    if not t > 0:
+        raise ValueError("t must be positive")
+    nodes = pilot.grid.nodes
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any((x < pilot.grid.lo) | (x > pilot.grid.hi)) or np.any(
+            (y < pilot.grid.lo) | (y > pilot.grid.hi)):
+        raise ValueError("points outside pilot grid")
+    integrand = np.sqrt(pilot.p / pilot.a)
+    cum = np.concatenate(([0.0], np.cumsum(
+        0.5 * (integrand[:-1] + integrand[1:]) * pilot.grid.step)))
+    s = np.interp(x, nodes, cum) - np.interp(y, nodes, cum)
+    px, ax = np.interp(x, nodes, pilot.p), np.interp(x, nodes, pilot.a)
+    py, ay = np.interp(y, nodes, pilot.p), np.interp(y, nodes, pilot.a)
+    out = px / (np.sqrt(2.0 * np.pi * t) * (px * ax * ay * py) ** 0.25) * np.exp(
+        -0.5 * s * s / t)
+    return float(out) if out.ndim == 0 else out
+
+
+def feller_explosion_check(pilot: PilotModel) -> bool:
+    """Decide whether the pilot diffusion explodes in finite time.
+
+    The process explodes iff the iterated tail integral
+    int int p(y)/a(x) dy dx converges on either side.  On the grid the
+    partial integrals are examined toward each edge: geometric decay of
+    the increments marks convergence; a ~= 1 is always nonexplosive.
+    """
+    if np.allclose(pilot.a, 1.0):
+        return False
+    w = trapezoid_weights(pilot.grid)
+    mid = pilot.grid.n // 2
+    for side in (slice(mid - 1, None, -1), slice(mid, None)):  # left, then right
+        inner = np.cumsum((w * pilot.p)[side])
+        partial = np.cumsum(w[side] * (1.0 / pilot.a)[side] * inner)
+        # compare growth over the outer quarter vs the one before it
+        q = partial.size // 4
+        inc_last = partial[-1] - partial[-q]
+        inc_prev = partial[-q] - partial[-2 * q]
+        if inc_prev <= 0 or inc_last < 0.25 * inc_prev:
+            return True
+    return False
+
+
+def csiszar_divergence(g: DensityEstimate1D, p, alpha_div: float) -> float:
+    """f-divergence D(g -> p) with psi(x) = (x^a - x)/(a(a-1)).
+
+    Limits a -> 1 and a -> 0 are the two Kullback-Leibler directions;
+    a = 2 is half the Pearson chi-square distance.
+    """
+    pv = p.p if isinstance(p, PilotModel) else np.asarray(p, dtype=float)
+    grid = g.grid
+    gv = np.maximum(g.values, 1e-300)
+    pv = np.maximum(pv, 1e-300)
+    if alpha_div == 1.0:
+        return float(integrate(gv * np.log(gv / pv), grid))
+    if alpha_div == 0.0:
+        return float(integrate(pv * np.log(pv / gv), grid))
+    a = alpha_div
+    val = integrate(pv ** (1.0 - a) * gv ** a, grid)
+    return float((val - 1.0) / (a * (a - 1.0)))

@@ -18,14 +18,10 @@ from diffkde import (
     DomainMask,
     Grid1D,
     Grid2D,
-    PilotModel,
-    asymptotic_kernel,
     bin_linear,
     bin_linear_2d,
-    csiszar_divergence,
     diffusion_pipeline,
     euler_sample,
-    functional_norm,
     gauss_kde_2d,
     gauss_kde_exact,
     gauss_kde_spectral,
@@ -34,19 +30,25 @@ from diffkde import (
     integrate_2d,
     isj2d_select,
     lscv_select,
-    mode_count,
     normal_ref_2d_select,
-    psi_hat,
     solve_diffusion,
     solve_heat_masked,
+    theta_sample,
+)
+from diffkde.bandwidth import functional_norm
+from diffkde.diffusion import PilotModel, _operator_bands
+from diffkde.grids import trapezoid_weights
+from diffkde.kde2d import bin_linear_2d as _b2
+from diffkde.kde2d import psi_hat
+from diffkde.testbed import registry, run_benchmark
+
+from reference import (
+    asymptotic_kernel,
+    csiszar_divergence,
+    mode_count,
     theta_kernel_cosine,
     theta_kernel_images,
-    theta_sample,
-    trapezoid_weights,
 )
-from diffkde.diffusion import _operator_bands
-from diffkde.kde2d import bin_linear_2d as _b2
-from diffkde.testbed import registry, run_benchmark
 
 
 def _emit(capsys, num, ok, detail):

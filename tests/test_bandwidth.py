@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 
-from diffkde import (
-    functional_norm,
-    gamma_chain,
-    gaussian_reference_norm,
-    isj_select,
-    sj_normal_ref_select,
-    stage_t,
-)
+from diffkde import isj_select, sj_normal_ref_select
 from diffkde.bandwidth import (
     XI,
     _LADDER,
     _smallest_fixed_point,
+    functional_norm,
+    gamma_chain,
+    gaussian_reference_norm,
+    stage_t,
 )
 from diffkde.grids import _Spectrum, bin_linear, cosine_moments, make_grid
 from diffkde.testbed import registry

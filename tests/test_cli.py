@@ -252,11 +252,11 @@ class TestBenchmarkCommand:
     def test_summary_counts_failed_trials(self, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def fails_on_first_call(x, grid):
+        def fails_on_first_call(x, grid, lscv_t):
             calls.append(1)
             if len(calls) == 1:
                 raise ValueError("no root")
-            return testbed.METHODS["sj"](x, grid)
+            return testbed.METHODS["sj"](x, grid, lscv_t)
 
         monkeypatch.setitem(testbed.METHODS, "isj", fails_on_first_call)
         assert main(["benchmark", "--case", "bimodal_pm2", "--n", "200",

@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from diffkde import comparators, testbed
 from diffkde import (
@@ -185,14 +184,6 @@ class TestHallPark:
         a = hall_park_estimate(x, xs, 0.04, beta)
         b = gauss_kde_exact(x, xs, 0.04)
         assert np.max(np.abs(a - b)) < 1e-10
-
-    def test_shiftless_form_is_exactly_the_renormalized_kde(self):
-        x = np.clip(np.random.default_rng(47).normal(size=200), None, 0.0)
-        xs = np.linspace(-3.0, 0.0, 31)
-        t = 0.03
-        a = hall_park_estimate(x, xs, t, 0.0, apply_shift=False)
-        b = gauss_kde_exact(x, xs, t) / norm.cdf((0.0 - xs) / np.sqrt(t))
-        assert np.allclose(a, b, rtol=1e-12)
 
     def test_boundary_lift(self):
         # Exp(1) flipped to be truncated above at 0: f(0-) = 1, where the

@@ -4,17 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from diffkde import (
-    BinnedHistogram,
-    DensityEstimate1D,
-    Grid1D,
-    bin_linear,
-    cosine_moments,
-    cosine_synthesis,
-    integrate,
-    make_grid,
-    trapezoid_weights,
-)
+from diffkde import BinnedHistogram, DensityEstimate1D, Grid1D, bin_linear, integrate, make_grid
+from diffkde.grids import cosine_moments, cosine_synthesis, trapezoid_weights
 
 
 class TestGrid1D:

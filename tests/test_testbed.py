@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import lognorm, norm
 
-from diffkde import DensityEstimate1D, Grid1D
+from diffkde import DensityEstimate1D, Grid1D, lscv_select
 from diffkde.testbed import (
     METHODS,
     GaussianMixture,
@@ -19,6 +19,8 @@ from diffkde.testbed import (
     registry,
     run_benchmark,
 )
+
+from reference import mixture_mean
 
 THIRD = 1.0 / 3.0
 
@@ -93,7 +95,7 @@ class TestMixtureMath:
         xs = np.linspace(-10, 14, 9)
         assert np.allclose(mix.pdf(xs), norm.pdf(xs, 2.0, 3.0))
         assert np.allclose(mix.cdf(xs), norm.cdf(xs, 2.0, 3.0))
-        assert mix.mean() == pytest.approx(2.0)
+        assert mixture_mean(mix) == pytest.approx(2.0)
 
     def test_mixture_pdf_is_convex_combination(self):
         mix = registry()["bimodal_pm2"]
@@ -107,7 +109,7 @@ class TestMixtureMath:
         assert np.allclose(mix.pdf(xs), lognorm.pdf(xs, 1.0))
         assert np.allclose(mix.cdf(xs), lognorm.cdf(xs, 1.0))
         assert mix.pdf([-1.0, 0.0]).tolist() == [0.0, 0.0]
-        assert mix.mean() == pytest.approx(np.exp(0.5))
+        assert mixture_mean(mix) == pytest.approx(np.exp(0.5))
 
     @pytest.mark.parametrize("name", sorted(registry()))
     def test_pdf_and_cdf_equal_scipy_norm(self, name):
@@ -142,7 +144,7 @@ class TestMixtureMath:
         n = 10 ** 6
         x = mix.sample(n, np.random.default_rng(50))
         se = x.std() / np.sqrt(n)
-        assert abs(x.mean() - mix.mean()) < 4.0 * se
+        assert abs(x.mean() - mixture_mean(mix)) < 4.0 * se
 
     def test_sample_reproducible(self):
         mix = registry()["claw"]
@@ -198,11 +200,11 @@ class TestRunBenchmark:
     def test_failed_trials_are_recorded_with_their_reason(self, monkeypatch, tmp_path):
         calls = []
 
-        def fails_on_second_call(x, grid):
+        def fails_on_second_call(x, grid, lscv_t):
             calls.append(1)
             if len(calls) == 2:
                 raise ArithmeticError("selector failed")
-            return METHODS["sj"](x, grid)
+            return METHODS["sj"](x, grid, lscv_t)
 
         monkeypatch.setitem(METHODS, "isj", fails_on_second_call)
         res = run_benchmark("bimodal_pm2", N=200, trials=3, method_a="isj",
@@ -214,7 +216,7 @@ class TestRunBenchmark:
         assert doc["failures"] == [{"trial": 1, "message": "ArithmeticError: selector failed"}]
 
     def test_all_trials_failing_names_the_first_reason(self, monkeypatch):
-        def fails(x, grid):
+        def fails(x, grid, lscv_t):
             raise ValueError("no root")
 
         monkeypatch.setitem(METHODS, "isj", fails)
@@ -228,6 +230,19 @@ class TestRunBenchmark:
         b = run_benchmark("bimodal_pm2", N=200, trials=2, method_a="isj",
                           method_b="sj", seed=3)
         assert a.pairs == b.pairs
+
+    def test_two_lscv_methods_share_one_selection_per_trial(self, monkeypatch):
+        selections = []
+
+        def counted(x):
+            selections.append(1)
+            return lscv_select(x)
+
+        monkeypatch.setattr("diffkde.testbed.lscv_select", counted)
+        res = run_benchmark("claw", N=500, trials=3, method_a="abramson",
+                            method_b="sinc", seed=1)
+        assert len(res.pairs) == 3
+        assert len(selections) == 3
 
     def test_unknown_case_and_method(self):
         with pytest.raises(KeyError, match="unknown case"):
