@@ -29,10 +29,16 @@ _L = 5  # the stage chain's depth l
 # The smallest fixed point is sought on the paper's unit-scale bracket
 # [0, 0.1], scanned on a log ladder whose neighbours differ by 1.9x (a 10x
 # ladder can hold three roots in one step), then refined to a relative
-# bracket width of _RTOL.
+# bracket width of _RTOL.  The scan starts at the largest ladder point not
+# above one grid step squared (the floor; 3.7e-9 for 2^14 nodes): a root
+# below it cannot be resolved on the grid.  Starting there leaves every
+# bracket above the floor as it is on the full ladder.  When every root
+# lies below the floor, the sample is binned again with twice the nodes
+# per axis, up to _MAX_NODES nodes in all.
 _LADDER = np.geomspace(1e-12, 0.1, 41)
 _RTOL = 1e-13
 _MAX_REFINE = 100
+_MAX_NODES = 2 ** 20
 
 
 @dataclass
@@ -122,14 +128,30 @@ def gamma_chain(t: float, l: int, binned: BinnedHistogram, N: int):
     return t, times, norms
 
 
-def _smallest_fixed_point(f):
-    """Smallest root of h(t) = t - f(t) on the unit-scale bracket [0, 0.1].
+class _BelowGridStep(ArithmeticError):
+    """t - f(t) stays positive from the floor up: every root lies below one
+    grid step of the n-node grid.  ``calls`` counts the evaluations of f."""
 
-    Scans the log ladder ``_LADDER`` upwards for the first sign change of
-    h, then refines that bracket by Illinois regula falsi to relative width
-    ``_RTOL``.  Returns the root and the number of evaluations of f.
-    Raises ArithmeticError when the scan ends without a sign change, or
-    when f fails (e.g. an underflowing stage) before one.
+    def __init__(self, n: int, calls: int):
+        super().__init__("selector failed: no fixed point found above one grid step of the "
+                         f"n={n} grid: the bandwidth is below one grid step")
+        self.calls = calls
+
+
+def _smallest_fixed_point(f, floor: float):
+    """Smallest root above one grid step of h(t) = t - f(t) on the
+    unit-scale bracket [0, 0.1].
+
+    ``floor`` is the squared unit-scale step 1/(n-1)^2 of an n-node grid.
+    Scans the log ladder ``_LADDER`` upwards from its largest point not
+    above the floor for the first sign change of h, then refines that
+    bracket by Illinois regula falsi to relative width ``_RTOL``; a root so
+    found below the floor is passed over and the scan goes on.  Returns the
+    root and the number of evaluations of f.  Raises ArithmeticError when
+    the scan ends without a root above the floor (:class:`_BelowGridStep`,
+    naming n, when h ends positive, so that every root lies below one grid
+    step), or when f fails (e.g. an underflowing stage) before a sign
+    change.
     """
     calls = 0
 
@@ -142,28 +164,35 @@ def _smallest_fixed_point(f):
         return v
 
     a = fa = None
-    try:
-        for b in _LADDER:
+    for b in _LADDER[max(np.searchsorted(_LADDER, floor, side="right") - 1, 0):]:
+        try:
             fb = h(b)
-            if fb == 0.0:
-                return float(b), calls
-            if fa is not None and (fa < 0.0) != (fb < 0.0):
-                break
-            a, fa = b, fb
-        else:
-            raise ArithmeticError("no sign change on the ladder")
-    except ArithmeticError as err:
-        raise ArithmeticError("selector failed: no fixed point found") from err
+        except ArithmeticError as err:
+            raise ArithmeticError("selector failed: no fixed point found") from err
+        if fb == 0.0 and b >= floor:
+            return float(b), calls
+        if fa is not None and (fa < 0.0) != (fb < 0.0):
+            z = _refine(h, a, fa, b, fb)
+            if z >= floor:
+                return z, calls
+        a, fa = b, fb
+    if fa > 0.0:
+        raise _BelowGridStep(round(floor ** -0.5) + 1, calls)
+    raise ArithmeticError(f"selector failed: no fixed point found on [{floor:.3g}, 0.1]")
 
-    # Illinois: halve the stale end's residual when one end is kept twice
+
+def _refine(h, a, fa, b, fb) -> float:
+    """A root of h in the sign-change bracket [a, b], by Illinois regula
+    falsi to relative width ``_RTOL``: the stale end's residual is halved
+    when one end is kept twice."""
     c, side = b, 0
     for _ in range(_MAX_REFINE):
         if b - a <= _RTOL * b:
-            return float(c), calls
+            return float(c)
         c = b - fb * (b - a) / (fb - fa)
         fc = h(c)
         if fc == 0.0:
-            return float(c), calls
+            return float(c)
         if (fc < 0.0) == (fa < 0.0):
             a, fa = c, fc
             if side == -1:
@@ -175,6 +204,32 @@ def _smallest_fixed_point(f):
                 fa *= 0.5
             side = 1
     raise ArithmeticError("selector failed: fixed-point refinement stalled")
+
+
+def _grid_fixed_point(gamma, spectrum: _Spectrum):
+    """Smallest root above one grid step of t = gamma(t, spectrum), the
+    number of evaluations of gamma, and the spectrum it was found on.
+
+    The floor is one step squared of the finer axis.  While every root lies
+    below it, the sample is binned again on the same interval with twice
+    the nodes per axis, up to ``_MAX_NODES`` nodes: a root of the sample
+    rises above the floor as the grid refines, while one made by binning
+    tied points keeps below it, and the last :class:`_BelowGridStep` is
+    raised.
+    """
+    evaluations = 0
+    while True:
+        shape = spectrum.c.shape
+        try:
+            z, calls = _smallest_fixed_point(lambda t: gamma(t, spectrum),
+                                             1.0 / (max(shape) - 1) ** 2)
+        except _BelowGridStep as err:
+            evaluations += err.calls
+            if np.prod(shape) * 2 ** len(shape) > _MAX_NODES:
+                raise
+            spectrum = spectrum.refined()
+        else:
+            return z, evaluations + calls, spectrum
 
 
 def _select(spectrum: _Spectrum, l: int, sigma=None):
@@ -192,8 +247,8 @@ def _select(spectrum: _Spectrum, l: int, sigma=None):
     R2 = spectrum.grid.range ** 2
 
     if sigma is None:
-        z, evaluations = _smallest_fixed_point(
-            lambda t: XI * gamma_chain(t, l, spectrum, N)[0])
+        z, evaluations, spectrum = _grid_fixed_point(
+            lambda t, s: XI * gamma_chain(t, l, s, N)[0], spectrum)
         t1, times, norms = gamma_chain(z, l, spectrum, N)
         method = "isj"
     else:
@@ -208,12 +263,15 @@ def _select(spectrum: _Spectrum, l: int, sigma=None):
 def isj_select(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> BandwidthReport:
     """Fixed-point plug-in selector: solve t = xi * gamma^[5](t).
 
-    Returns the smallest root on the unit-scale bracket [0, 0.1], found by
-    :func:`_smallest_fixed_point` from the cosine moments of the sample
-    binned on ``make_grid(sample, n, pad_fraction)``, computed once.  A held
-    spectrum of a sample is read as it is, on its own grid; ``n`` and
-    ``pad_fraction`` are then unused.  Raises ArithmeticError when
-    the bracket holds no root.  Samples below 30 points fall back to the
+    Returns the smallest root above one grid step on the unit-scale
+    bracket [0, 0.1], found by :func:`_smallest_fixed_point` from the
+    cosine moments of the sample binned on ``make_grid(sample, n,
+    pad_fraction)``, computed once.  A held spectrum of a sample is read as
+    it is, on its own grid; ``n`` and ``pad_fraction`` are then unused.
+    Where every root lies below one step, the grid is refined
+    (:func:`_grid_fixed_point`).  Raises ArithmeticError when the bracket
+    holds no root above one grid step even then (heavily tied data puts
+    its only roots there).  Samples below 30 points fall back to the
     normal-reference selector with ``low_sample`` flagged.
     """
     spectrum = _sample_spectrum(sample, n, pad_fraction)

@@ -8,7 +8,9 @@ Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -30,7 +32,42 @@ from .kde2d import (
 )
 
 
+# What _read_sample parses in one call: once its comment lines are dropped,
+# the file holds only numbers, blanks and commas.
+_COMMENT_LINE = re.compile(r"^[ \t]*#.*$", re.MULTILINE)
+_NUMERIC_TEXT = re.compile(r"[0-9eE+\-. \t\n,]*")
+
+
 def _read_sample(path: str, dims: int) -> np.ndarray:
+    """The sample in a text file of ``dims`` numbers a line, split by
+    blanks or commas; blank lines and lines starting with # are skipped.
+
+    A file of numbers alone is parsed in one ``np.loadtxt`` call, split on
+    commas if it holds any and on blanks if not.  Every other file, and
+    one that call refuses, goes through :func:`_read_lines`, which accepts
+    the same files and raises the error that names the offending line.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    except UnicodeDecodeError:
+        return _read_lines(path, dims)
+    body = _COMMENT_LINE.sub("", text) if "#" in text else text
+    if body.strip() and _NUMERIC_TEXT.fullmatch(body):
+        try:
+            a = np.loadtxt(io.StringIO(body), delimiter="," if "," in body else None,
+                           ndmin=2, comments=None)
+        except ValueError:
+            a = None
+        if a is not None and a.shape[1] == dims:
+            return a[:, 0] if dims == 1 else a
+    return _read_lines(path, dims)
+
+
+def _read_lines(path: str, dims: int) -> np.ndarray:
+    """:func:`_read_sample` one line at a time."""
     rows = []
     try:
         with open(path) as fh:

@@ -9,6 +9,7 @@ endpoints, so the node step is ``(hi - lo) / (n - 1)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -235,14 +236,27 @@ class _Spectrum:
 
     def norm(self, j: int, t: float) -> float:
         """2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t) of a 1D spectrum;
-        mode 0 carries no power at j >= 1 and is left out of the sum."""
-        return float(self._weights(0, j)[1:] @ np.exp(-self.k2[0][1:] * t))
+        mode 0 carries no power at j >= 1 and is left out of the sum, and
+        the sum stops at mode :func:`_last_mode`, past which every term is
+        below e^-40."""
+        end = _last_mode(j, t, self.c.size) + 1
+        return float(self._weights(0, j)[1:end] @ np.exp(-self.k2[0][1:end] * t))
 
     def psi(self, i: int, j: int, t: float) -> float:
         """The signed mixed functional of a 2D spectrum (kde2d.psi_hat)."""
         a = self._weights(0, i) * np.exp(-self.k2[0] * t)
         b = self._weights(1, j) * np.exp(-self.k2[1] * t)
         return float((-1.0) ** (i + j) * (a @ self.c2 @ b))
+
+    def refined(self) -> "_Spectrum":
+        """The spectrum of the same sample on the same interval with twice
+        the nodes along each axis."""
+        g = self.grid
+        if isinstance(g, Grid1D):
+            grid = Grid1D(g.lo, g.hi, 2 * g.n)
+        else:
+            grid = type(g)(*(Grid1D(a.lo, a.hi, 2 * a.n) for a in (g.x1, g.x2)))
+        return _Spectrum(self.sample, grid, self.pad_fraction)
 
     def smooth(self, unit_times) -> np.ndarray:
         """The node weights evolved by the zero-flux heat flow to time
@@ -256,6 +270,28 @@ class _Spectrum:
         for axis in range(c.ndim):
             c = cosine_synthesis(c, axis=axis)
         return c
+
+
+_LOG_CUT = 40.0  # norm terms past their peak and below e^-40 are dropped
+
+
+def _last_mode(j: int, t: float, n: int) -> int:
+    """The first mode K past the peak (pi k)^2 = j/t of (pi k)^{2j}
+    exp(-(pi k)^2 t) where (pi k)^2 t - j ln (pi k)^2 > 40, capped at n - 1.
+
+    With y = (pi k)^2 t the test reads y - j ln y > C = 40 - j ln t, whose
+    left side grows past its minimum at the peak y = j.  Newton's method
+    from y >= 2j meets that convex function's root from above after its
+    first step, so K never drops a mode that the test keeps.
+    """
+    C = _LOG_CUT - j * math.log(t)
+    y = float(j)  # every term past the peak is below the cut
+    if C > j - j * math.log(j):
+        y = max(C, 2.0 * j)
+        for _ in range(4):
+            y -= (y - j * math.log(y) - C) / (1.0 - j / y)
+    k = math.sqrt(y / t) / math.pi
+    return n - 1 if k >= n - 1 else int(k) + 1
 
 
 def _spectrum(binned) -> _Spectrum:

@@ -22,7 +22,7 @@ from scipy.special import ive
 from .bandwidth import (
     BandwidthReport,
     _double_factorial_odd,
-    _smallest_fixed_point,
+    _grid_fixed_point,
     gaussian_reference_norm,
 )
 from .grids import Grid1D, _cells, _Spectrum, _spectrum, make_grid, trapezoid_weights
@@ -195,10 +195,11 @@ def _diag_entries(psis, N):
 def _select_2d(points, k: int, n: int, pad_fraction: float, normal_ref: bool = False):
     """Shared driver for both 2D selectors; normal_ref switches the mode.
 
-    Without normal_ref, solve gamma(t) = t for its smallest root.  With it,
-    seed level k+1 from the product-Gaussian closed form at the per-axis
-    sample standard deviations.  ``points`` is a sample, binned on
-    :func:`make_grid_2d`, or its held spectrum, read on its own grid.
+    Without normal_ref, solve gamma(t) = t for its smallest root above one
+    grid step of the finer axis.  With it, seed level k+1 from the
+    product-Gaussian closed form at the per-axis sample standard
+    deviations.  ``points`` is a sample, binned on :func:`make_grid_2d`,
+    or its held spectrum, read on its own grid.
     Raises ValueError on fewer than 50 points or an axis of zero range.
     """
     spectrum = points if isinstance(points, _Spectrum) else _Spectrum(
@@ -218,7 +219,8 @@ def _select_2d(points, k: int, n: int, pad_fraction: float, normal_ref: bool = F
         t_star, psis = _gamma_levels(None, k, spectrum, N, seed_level=seed)
         evaluations, method = 0, "normal_ref_2d"
     else:
-        t_star, evaluations = _smallest_fixed_point(lambda t: gamma_2d(t, k, spectrum, N)[0])
+        t_star, evaluations, spectrum = _grid_fixed_point(
+            lambda t, s: gamma_2d(t, k, s, N)[0], spectrum)
         _, psis = gamma_2d(t_star, k, spectrum, N)
         method = "isj2d"
     t1u, t2u = _diag_entries(psis, N)
@@ -233,13 +235,15 @@ def isj2d_select(points, n: int = 2 ** 8, pad_fraction: float = 0.1):
     """2D fixed-point bandwidth selection.
 
     Solves gamma(t) = t (the recursion started at level 4) for its smallest
-    root on the unit-square bracket [0, 0.1] with the same routine as the 1D
-    selector, from 2D cosine moments of the sample binned on
-    :func:`make_grid_2d`, computed once (or of a held spectrum, on its own
-    grid; ``n`` and ``pad_fraction`` are then unused).
-    Returns (t_star, t_x1, t_x2, report): the unit-square fixed point and
-    the data-scale diagonal squared bandwidths.  Raises ArithmeticError
-    when the bracket holds no root, ValueError when an axis has zero range.
+    root above one grid step of the finer axis on the unit-square bracket
+    [0, 0.1] with the same routine as the 1D selector, from 2D cosine
+    moments of the sample binned on :func:`make_grid_2d`, computed once (or
+    of a held spectrum, on its own grid; ``n`` and ``pad_fraction`` are then
+    unused), and refined as the 1D grid is when every root lies below one
+    step.  Returns (t_star, t_x1, t_x2, report): the unit-square fixed
+    point and the data-scale diagonal squared bandwidths.  Raises
+    ArithmeticError when the bracket holds no root above one grid step,
+    ValueError when an axis has zero range.
     """
     return _select_2d(points, _K, n, pad_fraction)
 

@@ -1,7 +1,8 @@
 """Reference forms that only the tests read: the two series of the interval
 (theta) kernel, the small-t closed form of the diffusion kernel, the Feller
-explosion test of a pilot, the Csiszar divergence, a mode counter and the
-mean of a benchmark mixture.
+explosion test of a pilot, the Csiszar divergence, a mode counter, the
+mean of a benchmark mixture, and the fixed-point scan and 1D functional
+norm without the grid-step floor and the underflow cut.
 
 Named ``reference`` rather than ``oracles``: ``tests/`` and ``bench/`` are
 both top-level module roots in one pytest run, and ``bench/workloads.py``
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from diffkde import DensityEstimate1D, integrate
+from diffkde.bandwidth import _LADDER, _MAX_REFINE, _RTOL
 from diffkde.diffusion import PilotModel
 from diffkde.grids import trapezoid_weights
 from diffkde.kde1d import _phi
@@ -142,3 +144,64 @@ def csiszar_divergence(g: DensityEstimate1D, p, alpha_div: float) -> float:
     a = alpha_div
     val = integrate(pv ** (1.0 - a) * gv ** a, grid)
     return float((val - 1.0) / (a * (a - 1.0)))
+
+
+def full_norm(spectrum, j: int, t: float) -> float:
+    """2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t) over every mode of a
+    held 1D spectrum: ``_Spectrum.norm`` without its cut."""
+    return float(spectrum._weights(0, j)[1:] @ np.exp(-spectrum.k2[0][1:] * t))
+
+
+def unfloored_fixed_point(f):
+    """Smallest root of t - f(t) on the whole ladder, from its first point
+    1e-12 up, with no floor: the first sign change, refined by Illinois
+    regula falsi.  Returns the root and the number of evaluations of f."""
+    calls = 0
+
+    def h(t):
+        nonlocal calls
+        calls += 1
+        v = t - f(t)
+        if not np.isfinite(v):
+            raise ArithmeticError("non-finite fixed-point residual")
+        return v
+
+    a = fa = None
+    for b in _LADDER:
+        fb = h(b)
+        if fb == 0.0:
+            return float(b), calls
+        if fa is not None and (fa < 0.0) != (fb < 0.0):
+            break
+        a, fa = b, fb
+    else:
+        raise ArithmeticError("no sign change on the ladder")
+    c, side = b, 0
+    for _ in range(_MAX_REFINE):
+        if b - a <= _RTOL * b:
+            return float(c), calls
+        c = b - fb * (b - a) / (fb - fa)
+        fc = h(c)
+        if fc == 0.0:
+            return float(c), calls
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5
+            side = 1
+    raise ArithmeticError("refinement stalled")
+
+
+def unfloored_uncut(monkeypatch):
+    """Put the reference scan and norm in the selectors' place, so that
+    ``isj_select`` and ``isj2d_select`` compute the cut-free, floor-free
+    results they are checked against."""
+    from diffkde import bandwidth, grids
+    monkeypatch.setattr(grids._Spectrum, "norm", full_norm)
+    monkeypatch.setattr(bandwidth, "_smallest_fixed_point",
+                        lambda f, floor: unfloored_fixed_point(f))

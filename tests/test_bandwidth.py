@@ -9,6 +9,7 @@ from diffkde import isj_select, sj_normal_ref_select
 from diffkde.bandwidth import (
     XI,
     _LADDER,
+    _MIN_N,
     _smallest_fixed_point,
     functional_norm,
     gamma_chain,
@@ -17,6 +18,7 @@ from diffkde.bandwidth import (
 )
 from diffkde.grids import _Spectrum, bin_linear, cosine_moments, make_grid
 from diffkde.testbed import registry
+from reference import full_norm, unfloored_fixed_point, unfloored_uncut
 
 
 def direct_functional_norm(x, j, t_j):
@@ -205,9 +207,12 @@ class TestGammaChain:
 
 
 class TestSmallestFixedPoint:
+    # the selector's floor on its default grid: one step of 2^14 nodes, squared
+    FLOOR = 1.0 / (2 ** 14 - 1) ** 2
+
     def test_single_root_to_relative_precision(self):
         # t = sqrt(1e-3 t) has its nonzero root at 1e-3
-        z, calls = _smallest_fixed_point(lambda t: np.sqrt(1e-3 * t))
+        z, calls = _smallest_fixed_point(lambda t: np.sqrt(1e-3 * t), self.FLOOR)
         assert z == pytest.approx(1e-3, rel=1e-12)
         assert calls < 60
 
@@ -215,12 +220,12 @@ class TestSmallestFixedPoint:
         # t - f(t) = (t - 1e-5)(t - 1e-3)(t - 2e-2)/1e-4, negative below 1e-5
         roots = (1e-5, 1e-3, 2e-2)
         z, _ = _smallest_fixed_point(
-            lambda t: t - (t - roots[0]) * (t - roots[1]) * (t - roots[2]) / 1e-4)
+            lambda t: t - (t - roots[0]) * (t - roots[1]) * (t - roots[2]) / 1e-4, self.FLOOR)
         assert z == pytest.approx(roots[0], rel=1e-12)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(ArithmeticError, match="no fixed point found"):
-            _smallest_fixed_point(lambda t: 0.5 * t)
+            _smallest_fixed_point(lambda t: 0.5 * t, self.FLOOR)
 
     def test_failure_before_a_sign_change_raises(self):
         def f(t):
@@ -228,7 +233,23 @@ class TestSmallestFixedPoint:
                 raise ArithmeticError("stage j=1: nonpositive functional estimate")
             return 2.0 * t
         with pytest.raises(ArithmeticError, match="no fixed point found"):
-            _smallest_fixed_point(f)
+            _smallest_fixed_point(f, self.FLOOR)
+
+    def test_root_below_the_floor_is_skipped_for_the_one_above(self):
+        # the scan starts at the ladder point 5.96e-7 below the floor 1e-6;
+        # its first bracket holds the sub-floor root 8e-7, and the next
+        # sign change holds 1e-4
+        floor, roots = 1e-6, (8e-7, 1e-4, 2e-2)
+        start = _LADDER[_LADDER <= floor][-1]
+        assert start < roots[0] < floor < _LADDER[_LADDER > floor][0]
+        z, _ = _smallest_fixed_point(
+            lambda t: t - (t - roots[0]) * (t - roots[1]) * (t - roots[2]) / 1e-4, floor)
+        assert z == pytest.approx(roots[1], rel=1e-12)
+
+    def test_only_a_root_below_the_floor_raises_naming_n(self):
+        # t - f(t) = t - 1e-7 is positive from the floor up
+        with pytest.raises(ArithmeticError, match="n=1001 grid: the bandwidth is below one grid"):
+            _smallest_fixed_point(lambda t: 1e-7, 1e-6)
 
 
 class TestIsjSelect:
@@ -336,6 +357,84 @@ class TestIsjSelect:
     def test_pad_fraction_recorded(self):
         x = np.random.default_rng(20).normal(size=500)
         assert isj_select(x).pad_fraction == 0.1
+
+
+class TestFloorAndCutOracles:
+    """The floored scan and the cut norm against the reference scan from
+    1e-12 and the sum over every mode."""
+
+    def test_norm_matches_the_sum_over_every_mode(self):
+        ts = np.geomspace(1.0 / (2 ** 14 - 1) ** 2, 0.1, 40)
+        for name in sorted(registry()):
+            x = registry()[name].sample(1000, np.random.default_rng([31, 0]))
+            spectrum = _Spectrum(binned_on_grid(x, 2 ** 14)[0])
+            for j in range(1, 8):
+                cut = [functional_norm(spectrum, j, t) for t in ts]
+                full = [full_norm(spectrum, j, t) for t in ts]
+                np.testing.assert_allclose(cut, full, rtol=1e-13, atol=0, err_msg=f"{name} j={j}")
+
+    @staticmethod
+    def _samples():
+        for name in sorted(registry()):
+            for s in range(3):
+                yield f"{name}/{s}", registry()[name].sample(1000, np.random.default_rng([41, s]))
+        for name in ("claw", "bimodal_pm2", "log_normal", "separated_pm30", "ten_modes"):
+            for N in (1000, 100_000):
+                yield f"{name}/N={N}", registry()[name].sample(N, np.random.default_rng([43, N]))
+
+    def test_isj_matches_the_unfloored_uncut_selector(self):
+        samples = list(self._samples())
+        got = [isj_select(x).t_star for _, x in samples]
+        with pytest.MonkeyPatch.context() as mp:
+            unfloored_uncut(mp)
+            ref = [isj_select(x).t_star for _, x in samples]
+        for (name, _), a, b in zip(samples, got, ref):
+            assert a == pytest.approx(b, rel=1e-12), name
+
+    def test_reference_scan_agrees_above_the_floor(self):
+        # the floored scan returns the reference's root, bit for bit, and
+        # saves the evaluations below the floor
+        x = registry()["claw"].sample(1000, np.random.default_rng(1))
+        spectrum = _Spectrum(binned_on_grid(x, 2 ** 14)[0])
+        f = lambda t: XI * gamma_chain(t, 5, spectrum, x.size)[0]
+        floor = 1.0 / (2 ** 14 - 1) ** 2
+        z, calls = _smallest_fixed_point(f, floor)
+        z0, calls0 = unfloored_fixed_point(f)
+        assert z == z0 > floor
+        assert calls0 - calls == np.count_nonzero(_LADDER < _LADDER[_LADDER <= floor][-1])
+
+
+class TestResolutionFloor:
+    """Roots below one grid step track the grid; the selector skips them,
+    refines the grid when no other root is left, and raises when the
+    finest grid has none either."""
+
+    @pytest.mark.parametrize("seed,h", [(1, 0.6316), (2, 0.6290)])
+    def test_rounded_sample_root_does_not_track_the_grid(self, seed, h):
+        x = np.round(np.random.default_rng(seed).normal(0.0, 3.0, 1000))
+        hs = np.array([np.sqrt(isj_select(x, n=2 ** p).t_star) for p in range(12, 19)])
+        assert hs.max() / hs.min() - 1.0 < 1e-4
+        assert hs == pytest.approx(h, abs=1e-4)
+
+    @pytest.mark.parametrize("x", [
+        np.concatenate([np.zeros(900), np.random.default_rng(1).normal(size=100)]),
+        np.repeat([0.0, 1.0], 500),
+    ], ids=["ninety_percent_zeros", "two_values"])
+    def test_tied_sample_raises_below_one_grid_step(self, x):
+        assert x.size >= _MIN_N
+        with pytest.raises(ArithmeticError,
+                           match="n=1048576 grid: the bandwidth is below one grid step"):
+            isj_select(x)
+
+    def test_root_below_one_step_is_taken_from_a_refined_grid(self):
+        # at 32 nodes the root sits at 0.6 steps and is the sample's own:
+        # at 64 nodes it lies at 1.2 steps, within 5% of the fine-grid value
+        x = np.random.default_rng(3).normal(size=10_000)
+        coarse, fine = isj_select(x, n=32), isj_select(x, n=64)
+        assert coarse.converged and coarse.t_star == fine.t_star
+        assert coarse.iterations > fine.iterations
+        assert np.sqrt(fine.t_star) / make_grid(x, 64).step > 1.0
+        assert np.sqrt(fine.t_star) == pytest.approx(np.sqrt(isj_select(x).t_star), rel=0.05)
 
 
 class TestSjNormalRef:

@@ -31,7 +31,7 @@ from diffkde import (
 )
 import diffkde
 from diffkde import testbed
-from diffkde.cli import main
+from diffkde.cli import _read_lines, _read_sample, main
 from diffkde.grids import _Spectrum
 
 
@@ -156,6 +156,16 @@ class TestDensityCommand:
                      "--output", str(tmp_path / "o.csv")]) == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_bandwidth_below_one_grid_step_is_a_numerical_failure(self, tmp_path, capsys):
+        src = tmp_path / "tied.txt"
+        src.write_text("0.0\n" * 500 + "1.0\n" * 500)
+        out = tmp_path / "o.csv"
+        assert main(["density", "--input", str(src), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "n=1048576 grid: the bandwidth is below one grid step" in err
+        assert not out.exists()
+
     def test_mask_requires_dims_2(self, sample_file, tmp_path):
         path, _ = sample_file
         assert main(["density", "--input", str(path),
@@ -274,6 +284,80 @@ class TestBenchmarkCommand:
     def test_unknown_case(self, capsys):
         assert main(["benchmark", "--case", "nope"]) == 2
         assert "unknown case" in capsys.readouterr().err
+
+
+def _read_outcome(read, path, dims):
+    try:
+        a = read(str(path), dims)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return a.shape, a.tobytes()
+
+
+class TestReadSample:
+    """The one-call parse accepts and rejects exactly the files the line
+    loop does, with the same values and the same messages."""
+
+    @pytest.mark.parametrize("text,dims", [
+        ("1.0 # trailing comment\n", 1),
+        ("1.0#x\n", 1),
+        ("1, 2 # c\n", 2),
+        ("# header\n  # indented\n1.5\n\n-2e3\n", 1),
+        ("1,2\n,,\n3,4\n", 2),
+        ("1,,2\n3 4\n", 2),
+        ("1 2\n3,4\n", 2),
+        ("1,2,\n", 2),
+        ("1_000\n2\n", 1),
+        ("nan\n1\n", 1),
+        ("1\r\n2\r\n", 1),
+        ("1\f\n2\n", 1),
+        ("\u00a0# nbsp before the hash\n1\n", 1),
+        ("1 2\n3\n", 2),
+        ("1 2\n", 1),
+        ("\n \t\n", 1),
+        ("1e999\n.5\n+.5\n5.\n", 1),
+        ("1.2.3\n", 1),
+    ])
+    def test_edge_files_match_the_line_loop(self, text, dims, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text(text, encoding="utf-8")
+        assert _read_outcome(_read_sample, path, dims) == _read_outcome(_read_lines, path, dims)
+
+    def test_random_files_match_the_line_loop(self, tmp_path, monkeypatch):
+        looped = []
+        monkeypatch.setattr(diffkde.cli, "_read_lines",
+                            lambda *args: looped.append(1) or _read_lines(*args))
+        rng = np.random.default_rng(62)
+        pieces = ["1", "-2.5", "3e-7", "1E+2", ".5", "7.", "x", "#", "# c", ",", " ", "\t",
+                  "", "1,2", "1 2", "1, 2", "e", "+", "-", "1_0", "inf", "\u00a0"]
+        path = tmp_path / "x.txt"
+        accepted = fast = 0
+        for _ in range(400):
+            lines = ["".join(rng.choice(pieces, size=rng.integers(0, 4)))
+                     for _ in range(rng.integers(0, 6))]
+            path.write_text("\n".join(lines) + rng.choice(["", "\n"]), encoding="utf-8")
+            for dims in (1, 2):
+                n_looped = len(looped)
+                got = _read_outcome(_read_sample, path, dims)
+                assert got == _read_outcome(_read_lines, path, dims), lines
+                accepted += not isinstance(got[0], type)
+                fast += len(looped) == n_looped and not isinstance(got[0], type)
+        assert accepted > 40 and fast > 20
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "none.txt"
+        assert _read_outcome(_read_sample, path, 1) == _read_outcome(_read_lines, path, 1)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"1.0\n" * 3000 + b"\xff\n")
+        assert _read_outcome(_read_sample, path, 1) == _read_outcome(_read_lines, path, 1)
+
+    def test_mid_line_hash_is_an_error(self, tmp_path, capsys):
+        src = tmp_path / "x.txt"
+        src.write_text("1.0\n2.0 # note\n")
+        assert main(["bandwidth", "--input", str(src), "--output", str(tmp_path / "b.json")]) == 2
+        assert f"{src}:2: expected 1 column(s), got 3" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -34,6 +34,7 @@ from diffkde.kde2d import (
     psi_hat,
     t_stage_2d,
 )
+from reference import unfloored_uncut
 
 
 def _unit_grid(n=2 ** 8):
@@ -249,6 +250,30 @@ class TestSelector2D:
                 assert rep.converged and rep.iterations < 100
                 assert (t_star, t1, t2) == pytest.approx(ref, rel=1e-9), (name, s)
         assert compared >= 12
+
+    def test_matches_the_unfloored_selector(self):
+        # the five shapes above and a two-component correlated mixture,
+        # 50 draws each: the floor only skips ladder points below the root
+        samples = []
+        for s in range(50):
+            rng = np.random.default_rng([23, s])
+            samples += [(f"{name}/{s}", pts) for name, pts in _shapes_2d(rng, 1000)]
+            z = rng.normal(size=(1000, 2)) @ [[1.0, 0.15], [0.0, 0.29]]
+            samples.append((f"mixture/{s}", np.where(
+                rng.random(1000)[:, None] < 0.6, z, [2.0, 1.0] + 0.5 * z[:, ::-1])))
+        got = [isj2d_select(pts)[:3] for _, pts in samples]
+        with pytest.MonkeyPatch.context() as mp:
+            unfloored_uncut(mp)
+            ref = [isj2d_select(pts)[:3] for _, pts in samples]
+        for (name, _), a, b in zip(samples, got, ref):
+            assert a == pytest.approx(b, rel=1e-12), name
+
+    def test_root_below_one_step_is_taken_from_a_refined_grid(self):
+        # at 32^2 nodes the only root sits at 0.74 steps; at 64^2 at 1.5
+        pts = np.random.default_rng(3).normal(size=(10_000, 2))
+        coarse, fine = isj2d_select(pts, n=32), isj2d_select(pts, n=64)
+        assert coarse[:3] == fine[:3] and coarse[3].converged
+        assert np.sqrt(fine[0]) * 63 > 1.0
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_zero_range_axis_raises(self, axis):
