@@ -39,8 +39,9 @@ _NUMERIC_TEXT = re.compile(r"[0-9eE+\-. \t\n,]*")
 
 
 def _read_sample(path: str, dims: int) -> np.ndarray:
-    """The sample in a text file of ``dims`` numbers a line, split by
-    blanks or commas; blank lines and lines starting with # are skipped.
+    """The sample in a UTF-8 text file of ``dims`` numbers a line, split by
+    blanks or commas; blank lines and lines starting with # are skipped,
+    and so is a byte-order mark at its start.
 
     A file of numbers alone is parsed in one ``np.loadtxt`` call, split on
     commas if it holds any and on blanks if not.  Every other file, and
@@ -48,7 +49,7 @@ def _read_sample(path: str, dims: int) -> np.ndarray:
     the same files and raises the error that names the offending line.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(str(exc)) from None
@@ -70,7 +71,7 @@ def _read_lines(path: str, dims: int) -> np.ndarray:
     """:func:`_read_sample` one line at a time."""
     rows = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -205,9 +206,9 @@ def cmd_density(args) -> int:
         if args.method in ("gauss", "theta"):
             vals = gauss_kde_spectral(spectrum, t).values
         elif args.method == "abramson":
-            vals = abramson_estimate(x, grid.nodes, t)
+            vals = abramson_estimate(x, grid, t)
         elif args.method == "sinc":
-            vals = sinc_kde(x, grid.nodes, t)
+            vals = sinc_kde(x, grid, t)
         else:
             vals = hall_park_estimate(x, grid.nodes, t, beta=float(x.max()))
     _write_csv(args.output, integrate(vals, grid), grid.nodes, vals)

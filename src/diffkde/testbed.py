@@ -166,11 +166,11 @@ def _est_diffusion(x, grid, lscv_t):
 
 
 def _est_abramson(x, grid, lscv_t):
-    return abramson_estimate(x, grid.nodes, lscv_t())
+    return abramson_estimate(x, grid, lscv_t())
 
 
 def _est_sinc(x, grid, lscv_t):
-    return sinc_kde(x, grid.nodes, lscv_t())
+    return sinc_kde(x, grid, lscv_t())
 
 
 def _est_hallpark(x, grid, lscv_t):

@@ -1,8 +1,10 @@
 """Reference forms that only the tests read: the two series of the interval
 (theta) kernel, the small-t closed form of the diffusion kernel, the Feller
 explosion test of a pilot, the Csiszar divergence, a mode counter, the
-mean of a benchmark mixture, and the fixed-point scan and 1D functional
-norm without the grid-step floor and the underflow cut.
+mean of a benchmark mixture, the fixed-point scan and 1D functional
+norm without the grid-step floor and the underflow cut, and the direct
+sums the comparators were once computed by: the LSCV score over all
+distinct pairs, Abramson's estimator and the sinc kernel on the whole line.
 
 Named ``reference`` rather than ``oracles``: ``tests/`` and ``bench/`` are
 both top-level module roots in one pytest run, and ``bench/workloads.py``
@@ -13,11 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from diffkde import DensityEstimate1D, integrate
+from diffkde import DensityEstimate1D, gauss_kde_exact, integrate
 from diffkde.bandwidth import _LADDER, _MAX_REFINE, _RTOL
+from diffkde.comparators import _LADDER_REL, _LADDER_SIZE, LscvResult
 from diffkde.diffusion import PilotModel
 from diffkde.grids import trapezoid_weights
-from diffkde.kde1d import _phi
+from diffkde.kde1d import SQRT_2PI, _phi
 
 _LOG_TINY = 40.0  # exp(-40) < 5e-18, safely below every tolerance used here
 
@@ -205,3 +208,63 @@ def unfloored_uncut(monkeypatch):
     monkeypatch.setattr(grids._Spectrum, "norm", full_norm)
     monkeypatch.setattr(bandwidth, "_smallest_fixed_point",
                         lambda f, floor: unfloored_fixed_point(f))
+
+
+def pairwise_sq(x: np.ndarray) -> np.ndarray:
+    """Squared differences over the N(N-1)/2 distinct pairs."""
+    i, j = np.triu_indices(x.size, 1)
+    return (x[i] - x[j]) ** 2
+
+
+def lscv_score_pairs(d2: np.ndarray, N: int, t: float) -> float:
+    """LSCV(t) of the whole-line Gaussian KDE from the distinct-pair squared
+    differences d2: ||f_hat||^2 = N^-2 sum_{i,j} phi(d; 2t), the
+    leave-one-out cross term uses phi(d; t), and exp(-d^2/2t) =
+    exp(-d^2/4t)^2 needs no second exp."""
+    e = np.exp(-0.25 * d2 / t)
+    term1 = (N + 2.0 * e.sum()) / (N * N * np.sqrt(4.0 * np.pi * t))
+    term2 = 4.0 * (e * e).sum() / (N * (N - 1) * np.sqrt(2.0 * np.pi * t))
+    return term1 - term2
+
+
+def direct_lscv_select(sample, pairs=pairwise_sq, score=lscv_score_pairs) -> LscvResult:
+    """``lscv_select`` on the direct sum ``score(pairs(x), N, t)``: the same
+    ladder, the same two fallbacks to its midpoint and the same bounded
+    refinement between the neighbours of the best ladder point."""
+    from scipy.optimize import minimize_scalar
+    x = np.asarray(sample, dtype=float)
+    N = x.size
+    d2 = pairs(x)
+    ts = np.ptp(x) ** 2 * np.logspace(np.log10(_LADDER_REL[0]), np.log10(_LADDER_REL[1]),
+                                      _LADDER_SIZE)
+    scores = np.array([score(d2, N, t) for t in ts])
+    best = int(np.argmin(scores))
+    curve = list(zip(ts.tolist(), scores.tolist()))
+    if (np.ptp(scores) < 1e-12 * max(1.0, abs(scores).max())
+            or best in (0, _LADDER_SIZE - 1)):
+        return LscvResult(float(ts[_LADDER_SIZE // 2]), curve, degenerate=True)
+    res = minimize_scalar(lambda lt: score(d2, N, np.exp(lt)),
+                          bounds=(np.log(ts[best - 1]), np.log(ts[best + 1])),
+                          method="bounded")
+    return LscvResult(float(np.exp(res.x)), curve)
+
+
+def direct_abramson(sample, xs, t: float) -> np.ndarray:
+    """Abramson's estimator as a direct sum of whole-line Gaussian kernels at
+    the points xs, its pilot the direct-sum KDE at the data."""
+    x = np.asarray(sample, dtype=float)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    pilot = gauss_kde_exact(x, x, t)
+    h = np.sqrt(t * np.exp(np.mean(np.log(pilot))) / pilot)  # per-point bandwidths
+    z = (xs[:, None] - x[None, :]) / h[None, :]
+    return (np.exp(-0.5 * z * z) / (SQRT_2PI * h[None, :])).mean(axis=1)
+
+
+def direct_sinc(sample, xs, t: float) -> np.ndarray:
+    """The sinc-kernel estimate sum_i sin(u_i)/(pi u_i) / (N h), u_i =
+    (x - X_i)/h, as a direct sum on the whole line."""
+    x = np.asarray(sample, dtype=float)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    h = np.sqrt(t)
+    u = (xs[:, None] - x[None, :]) / h
+    return (np.sinc(u / np.pi) / np.pi).mean(axis=1) / h

@@ -166,6 +166,18 @@ class TestDensityCommand:
         assert "n=1048576 grid: the bandwidth is below one grid step" in err
         assert not out.exists()
 
+    def test_sinc_keeps_its_mass_on_a_degenerate_lscv_draw(self, tmp_path):
+        # LSCV falls back to its ladder midpoint on this draw; the whole-line
+        # sinc sum once wrote mass 1.083 there
+        x = testbed.registry()["bimodal_pm2"].sample(1000, np.random.default_rng([17, 37]))
+        src, out = tmp_path / "x.txt", tmp_path / "f.csv"
+        src.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+        with pytest.warns(UserWarning, match="ladder"):
+            assert main(["density", "--method", "sinc", "--input", str(src),
+                         "--output", str(out)]) == 0
+        integral = float(out.read_text().splitlines()[0].split("=", 1)[1])
+        assert abs(integral - 1.0) <= 1e-3
+
     def test_mask_requires_dims_2(self, sample_file, tmp_path):
         path, _ = sample_file
         assert main(["density", "--input", str(path),
@@ -344,6 +356,22 @@ class TestReadSample:
                 fast += len(looped) == n_looped and not isinstance(got[0], type)
         assert accepted > 40 and fast > 20
 
+    @pytest.mark.parametrize("text,dims", [
+        ("1.5\n-2e3\n", 1),
+        ("# header\n1,2\n3,4\n", 2),
+        ("1.5\nx\n", 1),
+    ])
+    @pytest.mark.parametrize("read", [_read_sample, _read_lines])
+    def test_byte_order_mark_reads_as_the_plain_file(self, read, text, dims, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        got = _read_outcome(read, marked, dims)
+        want = _read_outcome(read, plain, dims)
+        if isinstance(want[0], type):  # the same error, naming its own file
+            want = (want[0], want[1].replace(str(plain), str(marked)))
+        assert got == want
+
     def test_missing_file(self, tmp_path):
         path = tmp_path / "none.txt"
         assert _read_outcome(_read_sample, path, 1) == _read_outcome(_read_lines, path, 1)
@@ -455,9 +483,9 @@ def library_output(command, selector, data, mask):
     if command in ("density-gauss", "density-theta"):
         return gauss_kde_spectral(bin_linear(x, grid), t).values
     if command == "density-abramson":
-        return abramson_estimate(x, grid.nodes, t)
+        return abramson_estimate(x, grid, t)
     if command == "density-sinc":
-        return sinc_kde(x, grid.nodes, t)
+        return sinc_kde(x, grid, t)
     return hall_park_estimate(x, grid.nodes, t, beta=float(x.max()))
 
 
@@ -542,8 +570,10 @@ def _count_calls(monkeypatch):
 
 class TestOneSpectrum:
     """A command bins its sample once and takes one cosine transform per
-    axis, shared by the selector and the smoother; a command that reads
-    neither does neither."""
+    axis, shared by the selector and the smoother.  The comparators keep
+    their own: LSCV scores on its 2^14-node grid whatever --grid-n is, and
+    Abramson's pilot is a second spectrum on the output grid; a command
+    that reads no spectrum takes none."""
 
     @pytest.mark.parametrize("argv, dims, binnings, transforms", [
         pytest.param(["bandwidth", "--selector", "isj"], 1, 1, 1, id="bandwidth-isj"),
@@ -558,10 +588,10 @@ class TestOneSpectrum:
         pytest.param(["sample", "--method", "theta", "--count", "50"], 1, 1, 1,
                      id="sample-theta"),
         pytest.param(["density", "--dims", "2"], 2, 1, 2, id="density-2d"),
-        pytest.param(["bandwidth", "--selector", "lscv"], 1, 0, 0, id="bandwidth-lscv"),
+        pytest.param(["bandwidth", "--selector", "lscv"], 1, 1, 1, id="bandwidth-lscv"),
         pytest.param(["bandwidth", "--selector", FIXED], 1, 0, 0, id="bandwidth-fixed"),
-        pytest.param(["density", "--method", "abramson"], 1, 0, 0, id="density-abramson"),
-        pytest.param(["density", "--method", "sinc"], 1, 0, 0, id="density-sinc"),
+        pytest.param(["density", "--method", "abramson"], 1, 2, 2, id="density-abramson"),
+        pytest.param(["density", "--method", "sinc"], 1, 1, 1, id="density-sinc"),
     ])
     def test_command_bins_and_transforms_once(self, argv, dims, binnings, transforms,
                                               sample_file, sample2d_file, tmp_path,
