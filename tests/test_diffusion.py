@@ -3,6 +3,8 @@ structure, the plug-in time formula, the full pipeline, and the
 supporting diagnostics (asymptotic kernel, explosion check, divergences,
 SDE sampler)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -383,6 +385,26 @@ class TestCsiszarDivergence:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def _reference_loop(x, pm, t, n_steps, count, rng):
+    """The Euler sampler as a plain step loop: np.interp lookups, one
+    ``standard_normal(count)`` per step and the mod reflection applied to
+    every draw.  Also returns the most grid ends one draw was folded
+    across, summed over its steps."""
+    nodes, sigma = pm.grid.nodes, np.sqrt(pm.sigma2)
+    dt = t / n_steps
+    lo, R = pm.grid.lo, pm.grid.range
+    y = x[rng.integers(0, x.size, size=count)]
+    folds = np.zeros(count, dtype=int)
+    for _ in range(n_steps):
+        mu = np.interp(y, nodes, pm.mu)
+        sg = np.interp(y, nodes, sigma)
+        y = y + mu * dt + sg * np.sqrt(dt) * rng.standard_normal(count)
+        folds += np.abs(np.floor((y - lo) / R)).astype(int)
+        r = np.mod(y - lo, 2.0 * R)
+        y = lo + np.where(r > R, 2.0 * R - r, r)
+    return y, int(folds.max())
+
+
 class TestEulerSample:
     def test_draws_stay_in_domain(self):
         x = np.random.default_rng(10).normal(size=300)
@@ -408,20 +430,75 @@ class TestEulerSample:
         # the sampler's uniform-grid lookup against np.interp, same stream
         x = np.random.default_rng(12).normal(size=400)
         pm = build_pilot(x, n=2 ** 12)
-        t, n_steps, count = 0.03, 150, 2000
-        rng = np.random.default_rng(3)
-        nodes, sigma = pm.grid.nodes, np.sqrt(pm.sigma2)
-        dt = t / n_steps
-        lo, R = pm.grid.lo, pm.grid.range
-        y = x[rng.integers(0, x.size, size=count)]
-        for _ in range(n_steps):
-            mu = np.interp(y, nodes, pm.mu)
-            sg = np.interp(y, nodes, sigma)
-            y = y + mu * dt + sg * np.sqrt(dt) * rng.standard_normal(count)
-            r = np.mod(y - lo, 2.0 * R)
-            y = lo + np.where(r > R, 2.0 * R - r, r)
-        draws = euler_sample(x, pm, t, n_steps, count, np.random.default_rng(3))
+        y, _ = _reference_loop(x, pm, 0.03, 150, 2000, np.random.default_rng(3))
+        draws = euler_sample(x, pm, 0.03, 150, 2000, np.random.default_rng(3))
         assert np.max(np.abs(draws - y)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["boundary_at_zero", "multiple_folds"])
+    def test_matches_reference_loop_under_reflection(self, case):
+        if case == "boundary_at_zero":
+            # criterion 4's flipped exponential on a grid ending at 0: many
+            # draws start next to the end and reflect there
+            x = -np.random.default_rng(100).exponential(size=1000)
+            g = Grid1D(min(-12.0, float(x.min()) - 1.0), 0.0, 2 ** 12)
+            sol, report = diffusion_pipeline(x, grid=g)
+            pm, t, min_folds = sol.pilot, report.t_star, 1
+        else:
+            # sigma = 1 and a mild drift on [0, 1]; sqrt(dt) = 2 carries
+            # draws across several grid ends in one step
+            g = Grid1D(0.0, 1.0, 2 ** 10)
+            pm = PilotModel(g, 1.0 + 0.5 * g.nodes, 1.0)
+            x = np.random.default_rng(13).uniform(size=200)
+            t, min_folds = 400.0, 2
+        y, folds = _reference_loop(x, pm, t, 100, 2000, np.random.default_rng(3))
+        assert folds >= min_folds
+        draws = euler_sample(x, pm, t, 100, 2000, np.random.default_rng(3))
+        assert np.max(np.abs(draws - y)) <= 1e-12
+        assert draws.min() >= pm.grid.lo and draws.max() <= pm.grid.hi
+
+    def test_leaves_stream_and_inputs_unchanged(self):
+        x = np.random.default_rng(12).normal(size=400)
+        pm = build_pilot(x, n=2 ** 12)
+        x0, mu0, sigma20 = x.copy(), pm.mu.copy(), pm.sigma2.copy()
+        ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+        _reference_loop(x, pm, 0.03, 150, 2000, ref_rng)
+        euler_sample(x, pm, 0.03, 150, 2000, rng)
+        assert rng.random() == ref_rng.random()
+        assert np.array_equal(x, x0)
+        assert np.array_equal(pm.mu, mu0) and np.array_equal(pm.sigma2, sigma20)
+
+    def test_memory_is_per_step(self):
+        # one step's buffers are reused; drawing the normals as one
+        # (n_steps, count) block would hold 80 MB here
+        x = np.random.default_rng(10).normal(size=1000)
+        pm = build_pilot(x, n=2 ** 12)
+        tracemalloc.start()
+        try:
+            euler_sample(x, pm, 0.02, 100, 10 ** 5, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("t", [-0.01, np.nan, np.inf])
+    def test_invalid_t_star(self, t):
+        x = np.random.default_rng(10).normal(size=50)
+        pm = build_pilot(x, n=2 ** 12)
+        with pytest.raises(ValueError, match="t_star"):
+            euler_sample(x, pm, t, 100, 100, np.random.default_rng(0))
+
+    def test_zero_time_returns_start_points(self):
+        x = np.random.default_rng(10).normal(size=50)
+        pm = build_pilot(x, n=2 ** 12)
+        draws = euler_sample(x, pm, 0.0, 100, 100, np.random.default_rng(0))
+        start = x[np.random.default_rng(0).integers(0, x.size, size=100)]
+        assert np.array_equal(draws, start)
+
+    def test_sample_outside_pilot_grid(self):
+        x = np.random.default_rng(10).normal(size=50)
+        pm = build_pilot(x, n=2 ** 12)
+        with pytest.raises(ValueError, match="sample outside pilot grid"):
+            euler_sample(x + 100.0, pm, 0.01, 100, 100, np.random.default_rng(0))
 
     def test_validation(self):
         x = np.random.default_rng(10).normal(size=50)
