@@ -260,21 +260,21 @@ def _select(spectrum: _Spectrum, l: int, sigma=None):
                            pad_fraction=spectrum.pad_fraction)
 
 
-def isj_select(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> BandwidthReport:
+def isj_select(sample, n: int = 2 ** 14) -> BandwidthReport:
     """Fixed-point plug-in selector: solve t = xi * gamma^[5](t).
 
     Returns the smallest root above one grid step on the unit-scale
     bracket [0, 0.1], found by :func:`_smallest_fixed_point` from the
-    cosine moments of the sample binned on ``make_grid(sample, n,
-    pad_fraction)``, computed once.  A held spectrum of a sample is read as
-    it is, on its own grid; ``n`` and ``pad_fraction`` are then unused.
-    Where every root lies below one step, the grid is refined
-    (:func:`_grid_fixed_point`).  Raises ArithmeticError when the bracket
-    holds no root above one grid step even then (heavily tied data puts
-    its only roots there).  Samples below 30 points fall back to the
-    normal-reference selector with ``low_sample`` flagged.
+    cosine moments of the sample binned on ``make_grid(sample, n)``,
+    computed once.  A held spectrum of a sample
+    (:func:`grids._sample_spectrum`) is read as it is, on its own grid,
+    and ``n`` is then unused.  Where every root lies below one step, the
+    grid is refined (:func:`_grid_fixed_point`).  Raises ArithmeticError
+    when the bracket holds no root above one grid step even then (heavily
+    tied data puts its only roots there).  Samples below 30 points fall
+    back to the normal-reference selector with ``low_sample`` flagged.
     """
-    spectrum = _sample_spectrum(sample, n, pad_fraction)
+    spectrum = _sample_spectrum(sample, n)
     if spectrum.sample.size < _MIN_N:
         warnings.warn("sample below 30 points; using normal-reference bandwidth")
         report = sj_normal_ref_select(spectrum)
@@ -283,13 +283,13 @@ def isj_select(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> Bandwidth
     return _select(spectrum, _L)
 
 
-def sj_normal_ref_select(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> BandwidthReport:
+def sj_normal_ref_select(sample) -> BandwidthReport:
     """Multi-stage plug-in selector seeded by the normal reference rule.
 
     The top-stage functional ||f^(7)||^2 is taken from the Gaussian
     closed form at the sample standard deviation; the rest of the chain is
-    identical to the fixed-point selector, and a held spectrum is read as
-    in :func:`isj_select`.
+    identical to the fixed-point selector, on ``make_grid(sample)`` or a
+    held spectrum's own grid, as in :func:`isj_select`.
     """
-    spectrum = _sample_spectrum(sample, n, pad_fraction)
+    spectrum = _sample_spectrum(sample)
     return _select(spectrum, _L, sigma=float(np.std(spectrum.sample)))

@@ -23,10 +23,10 @@ from .grids import _sample_spectrum, _Spectrum, integrate
 from .kde1d import gauss_kde_spectral, theta_sample
 from .kde2d import (
     DomainMask,
+    _sample_spectrum_2d,
     gauss_kde_2d,
     integrate_2d,
     isj2d_select,
-    make_grid_2d,
     normal_ref_2d_select,
     solve_heat_masked,
 )
@@ -51,8 +51,6 @@ def _read_sample(path: str, dims: int) -> np.ndarray:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ValueError(str(exc)) from None
     except UnicodeDecodeError:
         return _read_lines(path, dims)
     body = _COMMENT_LINE.sub("", text) if "#" in text else text
@@ -70,33 +68,23 @@ def _read_sample(path: str, dims: int) -> np.ndarray:
 def _read_lines(path: str, dims: int) -> np.ndarray:
     """:func:`_read_sample` one line at a time."""
     rows = []
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.replace(",", " ").split()
-                if len(parts) != dims:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {dims} column(s), got {len(parts)}")
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: malformed number") from None
-    except OSError as exc:
-        raise ValueError(str(exc)) from None
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != dims:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {dims} column(s), got {len(parts)}")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed number") from None
     if not rows:
         raise ValueError("empty sample")
     a = np.asarray(rows, dtype=float)
     return a[:, 0] if dims == 1 else a
-
-
-def _read_mask(path: str) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",").astype(bool)
-    except OSError as exc:
-        raise ValueError(str(exc)) from None
 
 
 _LSCV_METHODS = ("abramson", "sinc", "hallpark")
@@ -132,7 +120,7 @@ def _spectrum(x, args) -> _Spectrum:
     --grid-n-2d (2D) grid at --pad.  Selector, smoother, pilot and pipeline
     all read it; it bins and transforms only when one of them does."""
     if args.dims == 2:
-        return _Spectrum(x, make_grid_2d(x, n=args.grid_n_2d, pad_fraction=args.pad), args.pad)
+        return _sample_spectrum_2d(x, args.grid_n_2d, args.pad)
     return _sample_spectrum(x, args.grid_n, args.pad)
 
 
@@ -194,8 +182,11 @@ def cmd_density(args) -> int:
     x, grid = spectrum.sample, spectrum.grid
     if args.dims == 2:
         tt, _ = _select(spectrum, args)
-        est = (gauss_kde_2d(spectrum, tt) if args.mask is None else
-               solve_heat_masked(spectrum.binned, DomainMask(grid, _read_mask(args.mask)), tt))
+        if args.mask is None:
+            est = gauss_kde_2d(spectrum, tt)
+        else:
+            mask = DomainMask(grid, np.loadtxt(args.mask, delimiter=",").astype(bool))
+            est = solve_heat_masked(spectrum.binned, mask, tt)
         n1, n2 = np.meshgrid(grid.x1.nodes, grid.x2.nodes, indexing="ij")
         _write_csv(args.output, integrate_2d(est.values, grid), n1, n2, est.values)
         return 0
@@ -259,9 +250,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", required=True)
         sp.add_argument("--selector", default=None,
                         help="isj | sj | lscv | fixed:T (default: the method's own)")
-        sp.add_argument("--grid-n", type=int, default=2 ** 14)
-        sp.add_argument("--grid-n-2d", type=int, default=2 ** 8)
-        sp.add_argument("--pad", type=float, default=0.1)
+        sp.add_argument("--grid-n", type=int, default=2 ** 14,
+                        help="1D grid nodes of the selector, smoother, pilot and output "
+                             "(lscv bins on its own 2^14 nodes with 10%% padding)")
+        sp.add_argument("--grid-n-2d", type=int, default=2 ** 8,
+                        help="2D grid nodes per axis of the selector and the estimate")
+        sp.add_argument("--pad", type=float, default=0.1,
+                        help="padding of each grid end as a fraction of the data range, "
+                             "1D and 2D (lscv keeps its own 10%%)")
 
     sp = sub.add_parser("bandwidth", help="write a bandwidth report (JSON)")
     common(sp)
@@ -310,7 +306,7 @@ def main(argv=None) -> int:
         if getattr(args, "dims", 1) == 2 and getattr(args, "method", "gauss") != "gauss":
             raise ValueError(f"{args.command} --method {args.method} has no --dims 2 form")
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

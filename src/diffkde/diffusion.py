@@ -77,22 +77,12 @@ class DiffusionSolution:
     solver_stats: dict
 
 
-def _spectra(sample, n: int, grid: Grid1D | None):
-    """The spectrum the plug-in selector reads and the one on ``grid``:
-    the same spectrum unless ``grid`` is given and differs from the
-    selector's, as in :func:`diffusion_pipeline`."""
-    selector = _sample_spectrum(sample, n, 0.1)
-    if grid is None or grid == selector.grid:
-        return selector, selector
-    return selector, _Spectrum(selector.sample, grid)
-
-
-def build_pilot(sample, alpha: float = 1.0, n: int = 2 ** 14,
-                grid: Grid1D | None = None) -> PilotModel:
+def build_pilot(sample, alpha: float = 1.0) -> PilotModel:
     """Gaussian-KDE pilot at the plug-in bandwidth, floored and renormalized,
-    on ``grid``; ``sample`` and ``grid`` as in :func:`diffusion_pipeline`."""
-    selector, spectrum = _spectra(sample, n, grid)
-    return _pilot(spectrum, alpha, isj_select(selector).t_star)
+    on the grid the selector reads: ``make_grid(sample)``, or a held
+    spectrum's own (:func:`grids._sample_spectrum`)."""
+    spectrum = _sample_spectrum(sample)
+    return _pilot(spectrum, alpha, isj_select(spectrum).t_star)
 
 
 def _pilot(spectrum: _Spectrum, alpha: float, t: float) -> PilotModel:
@@ -236,7 +226,9 @@ def diffusion_pipeline(sample, alpha: float = 1.0, n: int = 2 ** 14,
     spectrum, selected on its own grid.  The pilot and the initial
     condition share one binning on ``grid``, by default the selector's.
     """
-    selector, spectrum = _spectra(sample, n, grid)
+    selector = _sample_spectrum(sample, n)
+    spectrum = (selector if grid is None or grid == selector.grid else
+                _Spectrum(selector.sample, grid))
     x = spectrum.sample
     report = isj_select(selector)
     pilot = _pilot(spectrum, alpha, report.t_star)

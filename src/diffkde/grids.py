@@ -299,7 +299,8 @@ def _spectrum(binned) -> _Spectrum:
     return binned if isinstance(binned, _Spectrum) else _Spectrum(binned)
 
 
-def _sample_spectrum(sample, n: int, pad_fraction: float) -> _Spectrum:
-    """A held spectrum itself, or that of the sample on ``make_grid``."""
+def _sample_spectrum(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> _Spectrum:
+    """A held spectrum itself, or that of the sample on ``make_grid``: how a
+    caller chooses a 1D selector's grid beyond ``n``."""
     return sample if isinstance(sample, _Spectrum) else _Spectrum(
         _as_sample(sample), make_grid(sample, n, pad_fraction), pad_fraction)

@@ -58,17 +58,18 @@ def gauss_kde_spectral(binned: BinnedHistogram, t: float) -> DensityEstimate1D:
     return DensityEstimate1D(grid, np.clip(vals, 0.0, None), t)
 
 
-def theta_sample(y, t: float, rng: np.random.Generator, size=None):
+def theta_sample(y, t: float, rng: np.random.Generator):
     """Draw from the interval kernel centred at y by reflecting a normal draw.
 
     Y = y + N(0, t) is folded into [0, 1] by reflecting at both endpoints
     (W = Y mod 2 on [0, 2), then X = W if W <= 1 else 2 - W).  An array
-    ``y`` draws once per centre, as one call per centre would.
+    ``y`` draws once per centre, as one call per centre would; many draws
+    at one centre take an array of copies of it.
     """
     y = np.asarray(y, dtype=float)
     if not np.all((0.0 <= y) & (y <= 1.0)):
         raise ValueError("y must lie in [0, 1]")
-    z = rng.normal(y, np.sqrt(t), size=size)
+    z = rng.normal(y, np.sqrt(t))
     w = np.mod(z, 2.0)
     x = np.where(w > 1.0, 2.0 - w, w)
     return float(x) if x.ndim == 0 else x

@@ -98,6 +98,13 @@ def make_grid_2d(points, n: int = 2 ** 8, pad_fraction: float = 0.1) -> Grid2D:
     return Grid2D(make_grid(p[:, 0], n, pad_fraction), make_grid(p[:, 1], n, pad_fraction))
 
 
+def _sample_spectrum_2d(points, n: int = 2 ** 8, pad_fraction: float = 0.1) -> _Spectrum:
+    """A held 2D spectrum itself, or that of the points on ``make_grid_2d``:
+    how a caller chooses a 2D selector's grid beyond ``n``."""
+    return points if isinstance(points, _Spectrum) else _Spectrum(
+        _as_sample2d(points), make_grid_2d(points, n, pad_fraction), pad_fraction)
+
+
 def bin_linear_2d(points, grid: Grid2D) -> BinnedHistogram2D:
     """Bilinear binning: each point splits 1/N over its four corner nodes."""
     p = _as_sample2d(points)
@@ -192,18 +199,15 @@ def _diag_entries(psis, N):
     return t1, t2
 
 
-def _select_2d(points, k: int, n: int, pad_fraction: float, normal_ref: bool = False):
+def _select_2d(spectrum: _Spectrum, k: int, normal_ref: bool = False):
     """Shared driver for both 2D selectors; normal_ref switches the mode.
 
     Without normal_ref, solve gamma(t) = t for its smallest root above one
     grid step of the finer axis.  With it, seed level k+1 from the
     product-Gaussian closed form at the per-axis sample standard
-    deviations.  ``points`` is a sample, binned on :func:`make_grid_2d`,
-    or its held spectrum, read on its own grid.
+    deviations.  ``spectrum`` is the held spectrum of the sample.
     Raises ValueError on fewer than 50 points or an axis of zero range.
     """
-    spectrum = points if isinstance(points, _Spectrum) else _Spectrum(
-        _as_sample2d(points), make_grid_2d(points, n=n, pad_fraction=pad_fraction), pad_fraction)
     p, grid = spectrum.sample, spectrum.grid
     N = p.shape[0]
     if N < 50:
@@ -231,31 +235,32 @@ def _select_2d(points, k: int, n: int, pad_fraction: float, normal_ref: bool = F
     return t_star, t1u * grid.x1.range ** 2, t2u * grid.x2.range ** 2, report
 
 
-def isj2d_select(points, n: int = 2 ** 8, pad_fraction: float = 0.1):
+def isj2d_select(points, n: int = 2 ** 8):
     """2D fixed-point bandwidth selection.
 
     Solves gamma(t) = t (the recursion started at level 4) for its smallest
     root above one grid step of the finer axis on the unit-square bracket
     [0, 0.1] with the same routine as the 1D selector, from 2D cosine
-    moments of the sample binned on :func:`make_grid_2d`, computed once (or
-    of a held spectrum, on its own grid; ``n`` and ``pad_fraction`` are then
-    unused), and refined as the 1D grid is when every root lies below one
-    step.  Returns (t_star, t_x1, t_x2, report): the unit-square fixed
-    point and the data-scale diagonal squared bandwidths.  Raises
-    ArithmeticError when the bracket holds no root above one grid step,
-    ValueError when an axis has zero range.
+    moments of the sample binned on ``make_grid_2d(points, n)``, computed
+    once (or of a held spectrum, :func:`_sample_spectrum_2d`, on its own
+    grid; ``n`` is then unused), and refined as the 1D grid is when every
+    root lies below one step.  Returns (t_star, t_x1, t_x2, report): the
+    unit-square fixed point and the data-scale diagonal squared bandwidths.
+    Raises ArithmeticError when the bracket holds no root above one grid
+    step, ValueError when an axis has zero range.
     """
-    return _select_2d(points, _K, n, pad_fraction)
+    return _select_2d(_sample_spectrum_2d(points, n), _K)
 
 
-def normal_ref_2d_select(points, n: int = 2 ** 8, pad_fraction: float = 0.1):
+def normal_ref_2d_select(points):
     """Plug-in selection seeded at the top level by a normal reference.
 
     Level 5 functionals are taken from the product-Gaussian closed form
     psi_{i,j} = (-1)^{i+j} ||f1^(i)||^2 ||f2^(j)||^2 at the per-axis
-    sample standard deviations; the rest of the recursion is data driven.
+    sample standard deviations; the rest of the recursion is data driven,
+    on ``make_grid_2d(points)`` or a held spectrum's own grid.
     """
-    return _select_2d(points, _K, n, pad_fraction, normal_ref=True)
+    return _select_2d(_sample_spectrum_2d(points), _K, normal_ref=True)
 
 
 def gauss_kde_2d(binned2d: BinnedHistogram2D, t) -> DensityEstimate2D:

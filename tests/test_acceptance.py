@@ -280,7 +280,7 @@ def test_criterion_08_small_time_kernel_approximation(capsys):
 def test_criterion_09_samplers_ks(capsys):
     # interval-kernel sampler against the quadrature CDF of its density
     y, t = 0.5, 0.04
-    draws = theta_sample(y, t, np.random.default_rng(9), size=10 ** 5)
+    draws = theta_sample(np.full(10 ** 5, y), t, np.random.default_rng(9))
     g = Grid1D(0.0, 1.0, 2 ** 12)
     pdf = theta_kernel_images(g.nodes, y, t)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * g.step)))

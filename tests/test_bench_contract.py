@@ -1,7 +1,9 @@
 """The benchmark's cli_compare workload calls diffkde.cli.main with fixed
 option lists.  Build one pass of it at the benchmark's smoke sizes and
 check that every list still parses and runs: exit 0, or the exit of the
-defect the benchmark documents for that call."""
+defect the benchmark documents for that call, and that it does so again
+under the benchmark's tracer, whose observers read the arguments and
+results of the calls they wrap."""
 
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ def cli_ops(tmp_path, monkeypatch):
         yield workloads.CliCompare(workloads.SMOKE, str(tmp_path)).make_pass(
             np.random.default_rng([5, 1]))
     finally:
-        for name in ("workloads", "checks", "oracles"):
+        for name in ("workloads", "checks", "oracles", "layers", "tracing"):
             sys.modules.pop(name, None)
 
 
@@ -36,3 +38,19 @@ def test_every_cli_compare_option_list_parses_and_runs(cli_ops):
     for op in cli_ops:
         code, err = op.run()
         assert code == 0 or f"exit {code}: {err}" == op.known, (op.label, code, err)
+
+
+def test_cli_compare_runs_under_the_tracer(cli_ops):
+    import layers
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        tracer.enabled = True
+        for op in cli_ops:
+            code, err = op.run()
+            assert code == 0 or f"exit {code}: {err}" == op.known, (op.label, code, err)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("cli.main") == len(cli_ops)

@@ -32,7 +32,8 @@ from diffkde import (
 import diffkde
 from diffkde import testbed
 from diffkde.cli import _read_lines, _read_sample, main
-from diffkde.grids import _Spectrum
+from diffkde.grids import _sample_spectrum, _Spectrum
+from diffkde.kde2d import _sample_spectrum_2d
 
 
 @pytest.fixture()
@@ -85,7 +86,7 @@ class TestBandwidthCommand:
         assert main(["bandwidth", "--input", str(path), "--output", str(out),
                      "--dims", "2", "--grid-n-2d", "64", "--pad", "0.2"]) == 0
         doc = json.loads(out.read_text())
-        t_star, t1, t2, _ = isj2d_select(p, n=64, pad_fraction=0.2)
+        t_star, t1, t2, _ = isj2d_select(_sample_spectrum_2d(p, 64, 0.2))
         assert (doc["t_star_unit"], doc["t_x1"], doc["t_x2"]) == (t_star, t1, t2)
 
     def test_two_dimensional_report(self, sample2d_file, tmp_path):
@@ -120,7 +121,7 @@ class TestDensityCommand:
                      "--method", "gauss", "--grid-n", "4096", "--pad", "0.3"]) == 0
         vals = np.loadtxt(out, delimiter=",", comments="#")[:, 1]
         grid = make_grid(x, n=4096, pad_fraction=0.3)
-        t = isj_select(x, n=4096, pad_fraction=0.3).t_star
+        t = isj_select(_sample_spectrum(x, 4096, 0.3)).t_star
         np.testing.assert_array_equal(vals, gauss_kde_spectral(bin_linear(x, grid), t).values)
 
     def test_diffusion_integral_header(self, sample_file, tmp_path):
@@ -155,6 +156,14 @@ class TestDensityCommand:
         assert main(["density", "--input", str(src),
                      "--output", str(tmp_path / "o.csv")]) == 2
         assert "malformed" in capsys.readouterr().err
+
+    def test_unwritable_output_is_an_input_error(self, sample_file, tmp_path, capsys):
+        path, _ = sample_file
+        out = tmp_path / "missing" / "f.csv"
+        assert main(["density", "--input", str(path), "--output", str(out),
+                     "--selector", "fixed:0.05", "--grid-n", "4096"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
     def test_bandwidth_below_one_grid_step_is_a_numerical_failure(self, tmp_path, capsys):
         src = tmp_path / "tied.txt"
@@ -293,6 +302,14 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--case", "bimodal_pm2", "--n", "100", "--trials", "1",
                      "--output", str(tmp_path)] + option) == 2
 
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing"
+        assert main(["benchmark", "--case", "bimodal_pm2", "--n", "100", "--trials", "1",
+                     "--output", str(out)]) == 2
+        written = str(out / "bimodal_pm2_N100.csv")
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {written!r}\n")
+
     def test_unknown_case(self, capsys):
         assert main(["benchmark", "--case", "nope"]) == 2
         assert "unknown case" in capsys.readouterr().err
@@ -301,7 +318,7 @@ class TestBenchmarkCommand:
 def _read_outcome(read, path, dims):
     try:
         a = read(str(path), dims)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return type(exc), str(exc)
     return a.shape, a.tobytes()
 
@@ -448,11 +465,11 @@ def library_t(selector, data, dims, pad):
         return (0.05, 0.05) if dims == 2 else 0.05
     if dims == 2:
         sel = isj2d_select if selector == "isj" else normal_ref_2d_select
-        return sel(data, n=64, pad_fraction=pad)[1:3]
+        return sel(_sample_spectrum_2d(data, 64, pad))[1:3]
     if selector == "lscv":
         return lscv_select(data).t
     sel = isj_select if selector == "isj" else sj_normal_ref_select
-    return sel(data, n=4096, pad_fraction=pad).t_star
+    return sel(_sample_spectrum(data, 4096, pad)).t_star
 
 
 def library_output(command, selector, data, mask):
@@ -471,7 +488,8 @@ def library_output(command, selector, data, mask):
         if selector == "isj":
             sol = diffusion_pipeline(x, n=4096, grid=grid)[0]
         else:
-            sol = solve_diffusion(bin_linear(x, grid), build_pilot(x, n=4096, grid=grid), t)
+            pilot = build_pilot(_sample_spectrum(x, 4096, pad))
+            sol = solve_diffusion(bin_linear(x, grid), pilot, t)
         if command == "density-diffusion":
             return sol.estimate.values
         return euler_sample(x, sol.pilot, sol.estimate.t, n_steps=100, count=300,

@@ -152,18 +152,18 @@ class TestThetaEstimator:
 class TestThetaSample:
     def test_outputs_in_domain(self):
         rng = np.random.default_rng(7)
-        draws = theta_sample(0.9, 4.0, rng, size=10 ** 4)
+        draws = theta_sample(np.full(10 ** 4, 0.9), 4.0, rng)
         assert draws.min() >= 0.0 and draws.max() <= 1.0
 
     def test_small_t_concentrates_at_y(self):
         rng = np.random.default_rng(8)
-        draws = theta_sample(0.3, 1e-10, rng, size=1000)
+        draws = theta_sample(np.full(1000, 0.3), 1e-10, rng)
         assert np.max(np.abs(draws - 0.3)) < 1e-3
 
     def test_ks_against_kernel_cdf(self):
         y, t = 0.5, 0.04
         rng = np.random.default_rng(9)
-        draws = theta_sample(y, t, rng, size=10 ** 5)
+        draws = theta_sample(np.full(10 ** 5, y), t, rng)
         g = Grid1D(0.0, 1.0, 2 ** 12)
         pdf = theta_kernel_images(g.nodes, y, t)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * g.step)))

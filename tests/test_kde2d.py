@@ -29,6 +29,7 @@ from diffkde.grids import _Spectrum, cosine_moments
 from diffkde.kde2d import (
     _diag_entries,
     _masked_operator,
+    _sample_spectrum_2d,
     _select_2d,
     gamma_2d,
     psi_hat,
@@ -214,7 +215,7 @@ class TestSelector2D:
         pts = np.random.default_rng(1).multivariate_normal(
             [0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]], size=1000)
         z4 = isj2d_select(pts)[0]
-        z5 = _select_2d(pts, 5, 2 ** 8, 0.1)[0]
+        z5 = _select_2d(_sample_spectrum_2d(pts), 5)[0]
         assert abs(z4 - z5) / z4 < 0.15
 
     def test_isotropic_sample_gives_isotropic_bandwidths(self):

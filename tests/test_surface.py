@@ -1,9 +1,11 @@
 """The package surface: ``import diffkde`` exports what the benchmark, the
-demos, the README and a user call, and ``src/`` holds no function that only
-the tests call.  Everything is read with ``ast``; nothing under bench/ or
-demos/ is imported."""
+demos, the README and a user call, its functions carry a bounded number of
+defaulted parameters, and ``src/`` holds no function that only the tests
+call.  Source files are read with ``ast``; nothing under bench/ or demos/ is
+imported."""
 
 import ast
+import inspect
 import re
 import types
 from pathlib import Path
@@ -13,6 +15,7 @@ import diffkde
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "diffkde"
 MAX_EXPORTS = 35
+MAX_DEFAULTED = 11  # defaulted parameters of exported functions
 
 
 def _readme_trees():
@@ -62,6 +65,14 @@ def _exports():
 
 def test_export_count():
     assert len(_exports()) <= MAX_EXPORTS, sorted(_exports())
+
+
+def test_defaulted_parameter_count():
+    defaulted = [f"{n}({p.name})" for n in sorted(_exports())
+                 if isinstance(getattr(diffkde, n), types.FunctionType)
+                 for p in inspect.signature(getattr(diffkde, n)).parameters.values()
+                 if p.default is not p.empty]
+    assert len(defaulted) <= MAX_DEFAULTED, defaulted
 
 
 def test_benchmark_names_are_exported():
