@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import sys
 
@@ -161,12 +162,19 @@ def _adaptive(spectrum, args):
     return solve_diffusion(spectrum.binned, build_pilot(spectrum, args.alpha), t)
 
 
-def _write_csv(path, integral, *columns):
-    """An integral header line, then one row per node of the columns."""
+def _write_csv(path, integral, values, *axes):
+    """An integral header line, then one row per node of the product grid
+    of ``axes`` (one or two node arrays, the first slowest): its
+    coordinates, then its entry of ``values``.  Each number's repr is taken
+    once, and the rows are joined one run of the last axis at a time."""
+    last = [repr(x) + "," for x in axes[-1].tolist()]
+    lead = [repr(x) + "," for x in axes[0].tolist()] if len(axes) == 2 else [""]
+    vals = list(map(repr, np.ravel(values).tolist()))
+    n = len(last)
+    runs = ("".join([p + q + v + "\n" for q, v in zip(last, vals[i * n:(i + 1) * n])])
+            for i, p in enumerate(lead))
     with open(path, "w") as fh:
-        fh.write(f"# integral={integral!r}\n")
-        for row in zip(*(np.ravel(c).tolist() for c in columns)):
-            fh.write(",".join(map(repr, row)) + "\n")
+        fh.write(f"# integral={integral!r}\n" + "".join(runs))
 
 
 def cmd_bandwidth(args) -> int:
@@ -187,8 +195,8 @@ def cmd_density(args) -> int:
         else:
             mask = DomainMask(grid, np.loadtxt(args.mask, delimiter=",").astype(bool))
             est = solve_heat_masked(spectrum.binned, mask, tt)
-        n1, n2 = np.meshgrid(grid.x1.nodes, grid.x2.nodes, indexing="ij")
-        _write_csv(args.output, integrate_2d(est.values, grid), n1, n2, est.values)
+        _write_csv(args.output, integrate_2d(est.values, grid), est.values,
+                   grid.x1.nodes, grid.x2.nodes)
         return 0
     if args.method == "diffusion":
         vals = _adaptive(spectrum, args).estimate.values
@@ -202,7 +210,7 @@ def cmd_density(args) -> int:
             vals = sinc_kde(x, grid, t)
         else:
             vals = hall_park_estimate(x, grid.nodes, t, beta=float(x.max()))
-    _write_csv(args.output, integrate(vals, grid), grid.nodes, vals)
+    _write_csv(args.output, integrate(vals, grid), vals, grid.nodes)
     return 0
 
 
@@ -228,10 +236,14 @@ def cmd_sample(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cases = list(testbed.registry()) if args.case == "all" else [args.case]
-    for case in cases:
+    stems = [f"{args.output}/{c}_N{args.n}" if args.output else f"{c}_N{args.n}" for c in cases]
+    testbed._benchmark_target(cases[0], args.trials, args.method_a, args.method_b)
+    folder = os.path.dirname(stems[0]) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        open(stems[0] + ".csv", "w").close()  # the error writing would raise, before any trial
+    for case, stem in zip(cases, stems):
         result = testbed.run_benchmark(case, args.n, args.trials,
                                        args.method_a, args.method_b, args.seed)
-        stem = f"{args.output}/{case}_N{args.n}" if args.output else f"{case}_N{args.n}"
         testbed.benchmark_to_csv(result, stem + ".csv")
         testbed.benchmark_to_json(result, stem + ".json")
         print(f"{case}: median ratio {result.ratio_median:.3f} "

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bandwidth import isj_select
 from .grids import (
@@ -117,6 +116,13 @@ def _operator_bands(pilot: PilotModel):
     upper[1:] *= scale[:-1]
     lower[:-1] *= scale[1:]
     return np.vstack([upper, diag, lower])
+
+
+def solve_banded(l_and_u, ab, b) -> np.ndarray:
+    """scipy.linalg.solve_banded, imported at the first resolvent solve of
+    the contour sum rather than with the package."""
+    from scipy import linalg
+    return linalg.solve_banded(l_and_u, ab, b)
 
 
 def _apply(bands: np.ndarray, u: np.ndarray) -> np.ndarray:

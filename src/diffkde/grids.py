@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct
 
 
 @dataclass(frozen=True)
@@ -151,14 +150,25 @@ def trapezoid_weights(grid: Grid1D) -> np.ndarray:
 # With nodes u_j = j/(n-1) on [0, 1], the moments c_k = sum_j v_j cos(pi k u_j)
 # and the synthesis f_i = b_0 + 2 sum_{k>=1} b_k cos(pi k u_i) are both plain
 # type-I DCTs up to endpoint bookkeeping.  These are the exact transforms for
-# smoothing a node-supported measure with the Neumann heat kernel.
+# smoothing a node-supported measure with the Neumann heat kernel.  The DCT is
+# the real part of numpy's FFT of the even extension of the values, which
+# equals scipy.fft.dct(type=1) bit for bit and keeps scipy out of the plug-in
+# paths.
 # ---------------------------------------------------------------------------
+
+def _dct1(v: np.ndarray, axis: int) -> np.ndarray:
+    """Type-I DCT along ``axis``: the FFT of [v_0, ..., v_{n-1}, v_{n-2},
+    ..., v_1], whose imaginary part cancels."""
+    tail = [slice(None)] * v.ndim
+    tail[axis] = slice(-2, 0, -1)
+    return np.fft.rfft(np.concatenate([v, v[tuple(tail)]], axis=axis), axis=axis).real
+
 
 def cosine_moments(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """c_k = sum_j v_j cos(pi k j/(n-1)) along ``axis``, k = 0..n-1."""
     v = np.asarray(values, dtype=float)
     n = v.shape[axis]
-    d = dct(v, type=1, axis=axis)
+    d = _dct1(v, axis)
     first = np.take(v, [0], axis=axis)
     last = np.take(v, [-1], axis=axis)
     sign = np.ones(n)
@@ -172,7 +182,7 @@ def cosine_synthesis(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
     """f_i = b_0 + 2 sum_{k>=1} b_k cos(pi k i/(n-1)) along ``axis``."""
     b = np.asarray(coeffs, dtype=float)
     n = b.shape[axis]
-    d = dct(b, type=1, axis=axis)
+    d = _dct1(b, axis)
     last = np.take(b, [-1], axis=axis)
     sign = np.ones(n)
     sign[1::2] = -1.0

@@ -7,6 +7,9 @@ square, solved for the smallest fixed point of gamma(t) = t, followed by
 diagonal bandwidth entries computed from the level-2 functionals at that
 root.  The 2D cosine moments of the binned sample are computed once per
 selection and held in a spectrum that every functional reads.
+
+scipy's ndimage, sparse and special are imported inside the masked-domain
+code that calls them, so the free-space paths load no scipy.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, sparse
-from scipy.sparse.linalg import splu  # noqa: F401 -- unused; bench/layers.py traces kde2d.splu
-from scipy.special import ive
 
 from .bandwidth import (
     BandwidthReport,
@@ -77,6 +77,7 @@ class DomainMask:
             raise ValueError("mask shape must match grid")
         if not m.any():
             raise ValueError("mask has no interior nodes")
+        from scipy import ndimage
         _, parts = ndimage.label(m)
         if parts > 1:
             warnings.warn(f"mask has {parts} disconnected components")
@@ -285,6 +286,7 @@ def _masked_operator(mask: DomainMask):
     """Sparse symmetric per-axis (S1, S2) with W du/dt = (t1 S1 + t2 S2) u
     evolved to time 1: conservative 5-point fluxes across inside-inside
     edges only (zero flux elsewhere)."""
+    from scipy import sparse
     g = mask.grid
     n1, n2 = g.shape
     m = mask.inside
@@ -330,6 +332,8 @@ def solve_heat_masked(binned2d: BinnedHistogram2D, mask: DomainMask, t) -> Densi
     t1, t2 = (t, t) if np.isscalar(t) else t
     if not (t1 >= 0 and t2 >= 0):
         raise ValueError("t must be >= 0")
+    from scipy import sparse
+    from scipy.special import ive
     (S1, S2), w = _masked_operator(mask)
     r = np.sqrt(w)
     v = y = binned2d.weights[mask.inside] / r
@@ -352,3 +356,12 @@ def solve_heat_masked(binned2d: BinnedHistogram2D, mask: DomainMask, t) -> Densi
     vals = np.zeros(g.shape)
     vals[mask.inside] = np.clip(u, 0.0, None)
     return DensityEstimate2D(g, vals, (float(t1), float(t2)), stats)
+
+
+def __getattr__(name):
+    # kde2d.splu names scipy's sparse LU for the benchmark's trace without
+    # importing it with the module; no solver here factorizes
+    if name == "splu":
+        from scipy.sparse.linalg import splu
+        return splu
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -201,14 +201,8 @@ class BenchmarkResult:
     ratio_mean: float
 
 
-def run_benchmark(case: str, N: int, trials: int, method_a: str, method_b: str,
-                  seed: int) -> BenchmarkResult:
-    """ISE comparison of two methods over seeded independent trials on the
-    case's 2^14-node grid.
-
-    Per-trial streams come from default_rng([seed, trial]), so results
-    are bit-reproducible for a given seed regardless of trial order.
-    """
+def _benchmark_target(case: str, trials: int, method_a: str, method_b: str) -> GaussianMixture:
+    """The registry case of a benchmark, once its arguments are checked."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     try:
@@ -218,6 +212,18 @@ def run_benchmark(case: str, N: int, trials: int, method_a: str, method_b: str,
     for m in (method_a, method_b):
         if m not in METHODS:
             raise KeyError(f"unknown method {m!r}")
+    return target
+
+
+def run_benchmark(case: str, N: int, trials: int, method_a: str, method_b: str,
+                  seed: int) -> BenchmarkResult:
+    """ISE comparison of two methods over seeded independent trials on the
+    case's 2^14-node grid.
+
+    Per-trial streams come from default_rng([seed, trial]), so results
+    are bit-reproducible for a given seed regardless of trial order.
+    """
+    target = _benchmark_target(case, trials, method_a, method_b)
     grid = case_grid(target)
     pairs, failures = [], []
     for trial in range(trials):

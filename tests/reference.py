@@ -2,9 +2,10 @@
 (theta) kernel, the small-t closed form of the diffusion kernel, the Feller
 explosion test of a pilot, the Csiszar divergence, a mode counter, the
 mean of a benchmark mixture, the fixed-point scan and 1D functional
-norm without the grid-step floor and the underflow cut, and the direct
+norm without the grid-step floor and the underflow cut, the direct
 sums the comparators were once computed by: the LSCV score over all
-distinct pairs, Abramson's estimator and the sinc kernel on the whole line.
+distinct pairs, Abramson's estimator and the sinc kernel on the whole line,
+and the node-aligned cosine transforms on scipy's type-I DCT.
 
 Named ``reference`` rather than ``oracles``: ``tests/`` and ``bench/`` are
 both top-level module roots in one pytest run, and ``bench/workloads.py``
@@ -14,6 +15,7 @@ imports its own ``oracles`` module.
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import dct
 
 from diffkde import DensityEstimate1D, gauss_kde_exact, integrate
 from diffkde.bandwidth import _LADDER, _MAX_REFINE, _RTOL
@@ -147,6 +149,29 @@ def csiszar_divergence(g: DensityEstimate1D, p, alpha_div: float) -> float:
     a = alpha_div
     val = integrate(pv ** (1.0 - a) * gv ** a, grid)
     return float((val - 1.0) / (a * (a - 1.0)))
+
+
+def _alternating(a: np.ndarray, axis: int) -> np.ndarray:
+    """(-1)^k along ``axis`` of ``a``, shaped to broadcast against it."""
+    n = a.shape[axis]
+    sign = np.ones(n)
+    sign[1::2] = -1.0
+    shape = [1] * a.ndim
+    shape[axis] = n
+    return sign.reshape(shape)
+
+
+def dct_cosine_moments(values, axis: int = -1) -> np.ndarray:
+    """``grids.cosine_moments`` on scipy.fft.dct(type=1)."""
+    v = np.asarray(values, dtype=float)
+    d = dct(v, type=1, axis=axis)
+    return 0.5 * (d + np.take(v, [0], axis=axis) + _alternating(v, axis) * np.take(v, [-1], axis=axis))
+
+
+def dct_cosine_synthesis(coeffs, axis: int = -1) -> np.ndarray:
+    """``grids.cosine_synthesis`` on scipy.fft.dct(type=1)."""
+    b = np.asarray(coeffs, dtype=float)
+    return dct(b, type=1, axis=axis) + _alternating(b, axis) * np.take(b, [-1], axis=axis)
 
 
 def full_norm(spectrum, j: int, t: float) -> float:

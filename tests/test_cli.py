@@ -31,7 +31,7 @@ from diffkde import (
 )
 import diffkde
 from diffkde import testbed
-from diffkde.cli import _read_lines, _read_sample, main
+from diffkde.cli import _read_lines, _read_sample, _write_csv, main
 from diffkde.grids import _sample_spectrum, _Spectrum
 from diffkde.kde2d import _sample_spectrum_2d
 
@@ -302,17 +302,39 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--case", "bimodal_pm2", "--n", "100", "--trials", "1",
                      "--output", str(tmp_path)] + option) == 2
 
-    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the output was checked")
+
+        monkeypatch.setattr(testbed, "run_benchmark", no_trial)
         out = tmp_path / "missing"
-        assert main(["benchmark", "--case", "bimodal_pm2", "--n", "100", "--trials", "1",
-                     "--output", str(out)]) == 2
-        written = str(out / "bimodal_pm2_N100.csv")
-        assert capsys.readouterr() == (
-            "", f"error: [Errno 2] No such file or directory: {written!r}\n")
+        for case, first in [("bimodal_pm2", "bimodal_pm2"), ("all", next(iter(testbed.registry())))]:
+            assert main(["benchmark", "--case", case, "--n", "100", "--trials", "1",
+                         "--output", str(out)]) == 2
+            written = str(out / f"{first}_N100.csv")
+            assert capsys.readouterr() == (
+                "", f"error: [Errno 2] No such file or directory: {written!r}\n")
+        assert not out.exists()
 
     def test_unknown_case(self, capsys):
         assert main(["benchmark", "--case", "nope"]) == 2
         assert "unknown case" in capsys.readouterr().err
+
+
+class TestWriteCsv:
+    """The writer's bytes equal one formatted row per node of the product
+    grid, first axis slowest."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5)])
+    def test_matches_one_row_per_node(self, shape, tmp_path):
+        rng = np.random.default_rng(len(shape))
+        axes = [rng.normal(size=n) for n in shape]
+        values = rng.normal(size=shape)
+        _write_csv(tmp_path / "out.csv", 0.5, values, *axes)
+        columns = [c.ravel().tolist() for c in np.meshgrid(*axes, indexing="ij")]
+        rows = zip(*columns, values.ravel().tolist())
+        expected = "# integral=0.5\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
+        assert (tmp_path / "out.csv").read_text() == expected
 
 
 def _read_outcome(read, path, dims):

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from diffkde import BinnedHistogram, DensityEstimate1D, Grid1D, bin_linear, integrate, make_grid
 from diffkde.grids import cosine_moments, cosine_synthesis, trapezoid_weights
+from reference import dct_cosine_moments, dct_cosine_synthesis
 
 
 class TestGrid1D:
@@ -148,6 +149,19 @@ class TestNodeAlignedCosine:
         m = np.random.default_rng(7).normal(size=(32, 64))
         byrows = np.stack([cosine_moments(r) for r in m])
         assert np.allclose(cosine_moments(m, axis=1), byrows, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [2 ** 8, 2 ** 12, 2 ** 14, 2 ** 15, 2 ** 20, 1000, 4097])
+    def test_equals_scipy_dct_in_1d(self, n):
+        v = np.random.default_rng(n).random(n)
+        assert np.array_equal(cosine_moments(v), dct_cosine_moments(v))
+        assert np.array_equal(cosine_synthesis(v), dct_cosine_synthesis(v))
+
+    @pytest.mark.parametrize("shape", [(256, 256), (64, 64), (128, 256)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_equals_scipy_dct_on_each_2d_axis(self, shape, axis):
+        m = np.random.default_rng(shape).random(shape)
+        assert np.array_equal(cosine_moments(m, axis=axis), dct_cosine_moments(m, axis=axis))
+        assert np.array_equal(cosine_synthesis(m, axis=axis), dct_cosine_synthesis(m, axis=axis))
 
 
 class TestDensityEstimate:

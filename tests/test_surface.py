@@ -48,9 +48,12 @@ def _used_names(tree):
 
 def _defined(tree):
     """(name, is_method) of each module-level function and of each method or
-    property of a module's classes; a method is reached only as an attribute."""
+    property of a module's classes; a method is reached only as an attribute.
+    Dunders (a class's ``__init__``, a module's ``__getattr__``) are left
+    out: the interpreter calls them, not a name in a caller."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, ast.FunctionDef) and not (
+                node.name.startswith("__") and node.name.endswith("__")):
             yield node.name, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
