@@ -12,7 +12,6 @@ from .diffusion import build_pilot, diffusion_pipeline, euler_sample, solve_diff
 from .grids import BinnedHistogram, DensityEstimate1D, Grid1D, bin_linear, integrate, make_grid
 from .kde1d import gauss_kde_exact, gauss_kde_spectral, theta_sample
 from .kde2d import (
-    BinnedHistogram2D,
     DensityEstimate2D,
     DomainMask,
     Grid2D,

@@ -6,8 +6,9 @@ selector whose top stage is seeded by a normal reference rule.  All
 computation happens on the sample mapped to [0, 1]; the returned t is
 rescaled by the squared data range, which makes both selectors affine
 equivariant by construction.  The cosine moments of the binned sample are
-held in a spectrum (:class:`grids._Spectrum`) that every stage functional
-reads; a caller that also smooths the sample passes that spectrum in.
+held by its histogram (:class:`grids.BinnedHistogram`), which every stage
+functional reads; a caller that also smooths the sample passes that
+histogram in.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BinnedHistogram, _sample_spectrum, _Spectrum, _spectrum
+from .grids import BinnedHistogram, _histogram
 
 # ((6 sqrt 2 - 3)/7)^{2/5}; the ratio between the fixed-point map and the
 # final-stage bandwidth formula.
@@ -57,7 +58,6 @@ class BandwidthReport:
     converged: bool = False
     method: str = "isj"
     low_sample: bool = False
-    pad_fraction: float = 0.0
 
 
 def _double_factorial_odd(j: int) -> float:
@@ -78,14 +78,13 @@ def functional_norm(binned: BinnedHistogram, j: int, t_j: float) -> float:
 
         ||f^(j)||^2 ~= 2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t_j).
 
-    ``binned`` is a binned histogram, whose moments are computed here, or
-    the spectrum a selector holds for its sample.
+    The moments are those ``binned`` holds, computed on its first use.
     """
     if not t_j > 0:
         raise ValueError("t_j must be positive")
     if j < 1:
         raise ValueError("j must be >= 1")
-    return _spectrum(binned).norm(j, t_j)
+    return binned.norm(j, t_j)
 
 
 def stage_t(j: int, norm_next: float, N: int) -> float:
@@ -106,18 +105,15 @@ def gamma_chain(t: float, l: int, binned: BinnedHistogram, N: int):
     Interprets t as the pilot time for ||f^(l+1)||^2 and returns the
     stage-1 output *t_1, the intermediate stage times {j: *t_j} and the
     functional estimates {j+1: ||f^(j+1)||^2} gathered along the way.
-    ``binned`` is a binned histogram or a held spectrum, as in
-    :func:`functional_norm`.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if not t > 0:
         raise ValueError("t must be positive")
-    spectrum = _spectrum(binned)
     times = {}
     norms = {}
     for j in range(l, 0, -1):
-        norm = functional_norm(spectrum, j + 1, t)
+        norm = functional_norm(binned, j + 1, t)
         if not (np.isfinite(norm) and norm > 0):
             raise ArithmeticError(f"stage j={j}: nonpositive functional estimate")
         t = stage_t(j, norm, N)
@@ -206,9 +202,9 @@ def _refine(h, a, fa, b, fb) -> float:
     raise ArithmeticError("selector failed: fixed-point refinement stalled")
 
 
-def _grid_fixed_point(gamma, spectrum: _Spectrum):
-    """Smallest root above one grid step of t = gamma(t, spectrum), the
-    number of evaluations of gamma, and the spectrum it was found on.
+def _grid_fixed_point(gamma, binned: BinnedHistogram):
+    """Smallest root above one grid step of t = gamma(t, binned), the
+    number of evaluations of gamma, and the histogram it was found on.
 
     The floor is one step squared of the finer axis.  While every root lies
     below it, the sample is binned again on the same interval with twice
@@ -219,20 +215,20 @@ def _grid_fixed_point(gamma, spectrum: _Spectrum):
     """
     evaluations = 0
     while True:
-        shape = spectrum.c.shape
+        shape = binned.weights.shape
         try:
-            z, calls = _smallest_fixed_point(lambda t: gamma(t, spectrum),
+            z, calls = _smallest_fixed_point(lambda t: gamma(t, binned),
                                              1.0 / (max(shape) - 1) ** 2)
         except _BelowGridStep as err:
             evaluations += err.calls
             if np.prod(shape) * 2 ** len(shape) > _MAX_NODES:
                 raise
-            spectrum = spectrum.refined()
+            binned = binned.refined()
         else:
-            return z, evaluations + calls, spectrum
+            return z, evaluations + calls, binned
 
 
-def _select(spectrum: _Spectrum, l: int, sigma=None):
+def _select(binned: BinnedHistogram, l: int, sigma=None):
     """Shared driver for both selectors; sigma switches the mode.
 
     With sigma None, solve the fixed point t = XI * gamma^[l](t).  With the
@@ -240,24 +236,23 @@ def _select(spectrum: _Spectrum, l: int, sigma=None):
     from the normal reference's closed-form ||f^(l+2)||^2 instead.  Raises
     ValueError on a sample of zero range.
     """
-    x = spectrum.sample
+    x = binned.sample
     N = x.size
     if x.min() == x.max():
         raise ValueError("degenerate sample: zero range")
-    R2 = spectrum.grid.range ** 2
+    R2 = binned.grid.range ** 2
 
     if sigma is None:
-        z, evaluations, spectrum = _grid_fixed_point(
-            lambda t, s: XI * gamma_chain(t, l, s, N)[0], spectrum)
-        t1, times, norms = gamma_chain(z, l, spectrum, N)
+        z, evaluations, binned = _grid_fixed_point(
+            lambda t, b: XI * gamma_chain(t, l, b, N)[0], binned)
+        t1, times, norms = gamma_chain(z, l, binned, N)
         method = "isj"
     else:
-        t = stage_t(l + 1, gaussian_reference_norm(l + 2, sigma / spectrum.grid.range), N)
-        t1, times, norms = gamma_chain(t, l, spectrum, N)
+        t = stage_t(l + 1, gaussian_reference_norm(l + 2, sigma / binned.grid.range), N)
+        t1, times, norms = gamma_chain(t, l, binned, N)
         z, evaluations, method = XI * t1, 0, "sj_normal_ref"
     return BandwidthReport(t_star=z * R2, t2_star=times[2] * R2, iterations=evaluations,
-                           functional_norms=norms, converged=True, method=method,
-                           pad_fraction=spectrum.pad_fraction)
+                           functional_norms=norms, converged=True, method=method)
 
 
 def isj_select(sample, n: int = 2 ** 14) -> BandwidthReport:
@@ -266,21 +261,21 @@ def isj_select(sample, n: int = 2 ** 14) -> BandwidthReport:
     Returns the smallest root above one grid step on the unit-scale
     bracket [0, 0.1], found by :func:`_smallest_fixed_point` from the
     cosine moments of the sample binned on ``make_grid(sample, n)``,
-    computed once.  A held spectrum of a sample
-    (:func:`grids._sample_spectrum`) is read as it is, on its own grid,
-    and ``n`` is then unused.  Where every root lies below one step, the
-    grid is refined (:func:`_grid_fixed_point`).  Raises ArithmeticError
+    computed once.  A :func:`~diffkde.grids.bin_linear` result is read as
+    it is, on its own grid, and ``n`` is then unused: that is how a caller
+    chooses the grid.  Where every root lies below one step, the grid is
+    refined (:func:`_grid_fixed_point`).  Raises ArithmeticError
     when the bracket holds no root above one grid step even then (heavily
     tied data puts its only roots there).  Samples below 30 points fall
     back to the normal-reference selector with ``low_sample`` flagged.
     """
-    spectrum = _sample_spectrum(sample, n)
-    if spectrum.sample.size < _MIN_N:
+    binned = _histogram(sample, n)
+    if binned.sample.size < _MIN_N:
         warnings.warn("sample below 30 points; using normal-reference bandwidth")
-        report = sj_normal_ref_select(spectrum)
+        report = sj_normal_ref_select(binned)
         report.low_sample = True
         return report
-    return _select(spectrum, _L)
+    return _select(binned, _L)
 
 
 def sj_normal_ref_select(sample) -> BandwidthReport:
@@ -289,7 +284,8 @@ def sj_normal_ref_select(sample) -> BandwidthReport:
     The top-stage functional ||f^(7)||^2 is taken from the Gaussian
     closed form at the sample standard deviation; the rest of the chain is
     identical to the fixed-point selector, on ``make_grid(sample)`` or a
-    held spectrum's own grid, as in :func:`isj_select`.
+    :func:`~diffkde.grids.bin_linear` result's own grid, as in
+    :func:`isj_select`.
     """
-    spectrum = _sample_spectrum(sample)
-    return _select(spectrum, _L, sigma=float(np.std(spectrum.sample)))
+    binned = _histogram(sample)
+    return _select(binned, _L, sigma=float(np.std(binned.sample)))

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -20,14 +21,15 @@ from . import testbed
 from .bandwidth import isj_select, sj_normal_ref_select
 from .comparators import abramson_estimate, hall_park_estimate, lscv_select, sinc_kde
 from .diffusion import build_pilot, diffusion_pipeline, euler_sample, solve_diffusion
-from .grids import _sample_spectrum, _Spectrum, integrate
+from .grids import bin_linear, integrate, make_grid
 from .kde1d import gauss_kde_spectral, theta_sample
 from .kde2d import (
     DomainMask,
-    _sample_spectrum_2d,
+    bin_linear_2d,
     gauss_kde_2d,
     integrate_2d,
     isj2d_select,
+    make_grid_2d,
     normal_ref_2d_select,
     solve_heat_masked,
 )
@@ -111,24 +113,28 @@ def _resolve(args):
         t = float(value) if value else None
     except ValueError:
         t = float("nan")
-    if t is not None and not t > 0:
+    if t is not None and not 0 < t < float("inf"):
         raise ValueError(f"selector {spec!r}: fixed:T requires a number T > 0")
     return name, t
 
 
-def _spectrum(x, args) -> _Spectrum:
-    """The command's one spectrum of the sample, on the --grid-n (1D) or
-    --grid-n-2d (2D) grid at --pad.  Selector, smoother, pilot and pipeline
-    all read it; it bins and transforms only when one of them does."""
+def _histogram(x, args):
+    """The command's grid for the sample, --grid-n (1D) or --grid-n-2d (2D)
+    nodes at --pad, and a function that returns the one histogram of the
+    sample on it.  Selector, smoother, pilot and pipeline all read that
+    histogram; it bins on the first call, so a command that reads none
+    bins nothing, and its moments are taken once, by the first reader."""
     if args.dims == 2:
-        return _sample_spectrum_2d(x, args.grid_n_2d, args.pad)
-    return _sample_spectrum(x, args.grid_n, args.pad)
+        grid = make_grid_2d(x, args.grid_n_2d, args.pad)
+        return grid, functools.cache(lambda: bin_linear_2d(x, grid))
+    grid = make_grid(x, args.grid_n, args.pad)
+    return grid, functools.cache(lambda: bin_linear(x, grid))
 
 
-def _select(spectrum, args):
-    """Run the resolved selector on the spectrum's sample: (t, report), t
-    the data-scale squared bandwidth in 1D and the (t_x1, t_x2) pair in 2D,
-    report the fields of the bandwidth JSON."""
+def _select(x, binned, args):
+    """Run the resolved selector on the sample ``x``, binned by
+    ``binned()``: (t, report), t the data-scale squared bandwidth in 1D and
+    the (t_x1, t_x2) pair in 2D, report the fields of the bandwidth JSON."""
     name, t = _resolve(args)
     if name == "fixed:T":
         if args.dims == 2:
@@ -136,30 +142,31 @@ def _select(spectrum, args):
         return t, {"t_star": t, "method": "fixed"}
     if args.dims == 2:
         sel = isj2d_select if name == "isj" else normal_ref_2d_select
-        t_star, t1, t2, report = sel(spectrum)
+        t_star, t1, t2, report = sel(binned())
         return (t1, t2), {"t_star_unit": t_star, "t_x1": t1, "t_x2": t2,
                           "iterations": report.iterations, "converged": report.converged,
-                          "method": report.method, "pad_fraction": report.pad_fraction}
+                          "method": report.method, "pad_fraction": args.pad}
     if name == "lscv":
-        res = lscv_select(spectrum.sample)
+        res = lscv_select(x)
         return res.t, {"t_star": res.t, "method": "lscv", "degenerate": res.degenerate}
     sel = isj_select if name == "isj" else sj_normal_ref_select
-    report = sel(spectrum)
+    report = sel(binned())
     return report.t_star, {
         "t_star": report.t_star, "t2_star": report.t2_star,
         "iterations": report.iterations, "converged": report.converged,
         "method": report.method, "low_sample": report.low_sample,
-        "pad_fraction": report.pad_fraction,
+        "pad_fraction": args.pad,
         "functional_norms": {str(k): v for k, v in report.functional_norms.items()}}
 
 
-def _adaptive(spectrum, args):
-    """Adaptive diffusion on the spectrum's grid: the whole pipeline under
-    isj; under fixed:T, the plug-in pilot and a solve to time T."""
+def _adaptive(binned, args):
+    """Adaptive diffusion on the grid of the histogram ``binned()``: the
+    whole pipeline under isj; under fixed:T, the plug-in pilot and a solve
+    to time T."""
     name, t = _resolve(args)
     if name == "isj":
-        return diffusion_pipeline(spectrum, alpha=args.alpha)[0]
-    return solve_diffusion(spectrum.binned, build_pilot(spectrum, args.alpha), t)
+        return diffusion_pipeline(binned(), alpha=args.alpha)[0]
+    return solve_diffusion(binned(), build_pilot(binned(), args.alpha), t)
 
 
 def _write_csv(path, integral, values, *axes):
@@ -178,7 +185,8 @@ def _write_csv(path, integral, values, *axes):
 
 
 def cmd_bandwidth(args) -> int:
-    _, doc = _select(_spectrum(_read_sample(args.input, args.dims), args), args)
+    x = _read_sample(args.input, args.dims)
+    _, doc = _select(x, _histogram(x, args)[1], args)
     with open(args.output, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -186,24 +194,24 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_density(args) -> int:
-    spectrum = _spectrum(_read_sample(args.input, args.dims), args)
-    x, grid = spectrum.sample, spectrum.grid
+    x = _read_sample(args.input, args.dims)
+    grid, binned = _histogram(x, args)
     if args.dims == 2:
-        tt, _ = _select(spectrum, args)
+        tt, _ = _select(x, binned, args)
         if args.mask is None:
-            est = gauss_kde_2d(spectrum, tt)
+            est = gauss_kde_2d(binned(), tt)
         else:
             mask = DomainMask(grid, np.loadtxt(args.mask, delimiter=",").astype(bool))
-            est = solve_heat_masked(spectrum.binned, mask, tt)
+            est = solve_heat_masked(binned(), mask, tt)
         _write_csv(args.output, integrate_2d(est.values, grid), est.values,
                    grid.x1.nodes, grid.x2.nodes)
         return 0
     if args.method == "diffusion":
-        vals = _adaptive(spectrum, args).estimate.values
+        vals = _adaptive(binned, args).estimate.values
     else:
-        t, _ = _select(spectrum, args)
+        t, _ = _select(x, binned, args)
         if args.method in ("gauss", "theta"):
-            vals = gauss_kde_spectral(spectrum, t).values
+            vals = gauss_kde_spectral(binned(), t).values
         elif args.method == "abramson":
             vals = abramson_estimate(x, grid, t)
         elif args.method == "sinc":
@@ -219,14 +227,13 @@ def cmd_sample(args) -> int:
         raise ValueError("count must be positive")
     x = _read_sample(args.input, 1)
     rng = np.random.default_rng(args.seed)
-    spectrum = _spectrum(x, args)
-    grid = spectrum.grid
+    grid, binned = _histogram(x, args)
     if args.method == "theta":
-        t, _ = _select(spectrum, args)
+        t, _ = _select(x, binned, args)
         centers = grid.to_unit(x[rng.integers(0, x.size, size=args.count)])
         draws = grid.lo + theta_sample(centers, t / grid.range ** 2, rng) * grid.range
     else:
-        sol = _adaptive(spectrum, args)
+        sol = _adaptive(binned, args)
         draws = euler_sample(x, sol.pilot, sol.estimate.t, n_steps=args.steps,
                              count=args.count, rng=rng)
     with open(args.output, "w") as fh:

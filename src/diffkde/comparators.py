@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import _as_sample, _sample_spectrum, bin_linear, cosine_synthesis
+from .grids import _as_sample, _histogram, bin_linear, cosine_synthesis
 from .kde1d import SQRT_2PI, _normal_cdf, _normal_pdf, gauss_kde_exact, gauss_kde_spectral
 
 _LADDER_SIZE = 61
 _LADDER_REL = (1e-4, 1.0)  # bounds as fractions of squared data range
 _LSCV_GRID_N = 2 ** 14
-_LSCV_PAD = 0.1
 _LOG_CUT = 40.0  # modes whose kernel damping is below e^-40 are dropped
 _BLOCK = 2 ** 18  # entries of one (points x modes) block of a series sum
 _F0_FLOOR = 1e-10  # Hall-Park: no location shift where the plain KDE is below this
@@ -89,9 +88,9 @@ def _cosine_series(u, coef) -> np.ndarray:
     return out
 
 
-def _lscv_score(spectrum, N: int, t, K: int):
+def _lscv_score(binned, N: int, t, K: int):
     """LSCV(t) = int f_hat^2 - 2 mean_{i != j} kappa(X_i, X_j; t) of the
-    reflection-kernel estimate on the spectrum's grid, for an array t.
+    reflection-kernel estimate on the histogram's grid, for an array t.
 
     With s = t / R^2, e_k = exp(-(pi k)^2 s / 2), w_0 = 1, w_k = 2 and c_k
     the normalized cosine moments: int f_hat^2 = sum w c^2 e^2 / R, the
@@ -99,9 +98,9 @@ def _lscv_score(spectrum, N: int, t, K: int):
     N sum w e (1 + c_2k) / 2 / R, as cos^2 = (1 + cos 2x) / 2.  Modes past
     K are below e^-40 of mode 0 at every t on the ladder.
     """
-    R = spectrum.grid.range
-    c = spectrum.c
-    k2 = spectrum.k2[0][:K]
+    R = binned.grid.range
+    c = binned.moments
+    k2 = binned.k2[0][:K]
     w = np.full(K, 2.0)
     w[0] = 1.0
     wc2 = w * c[:K] ** 2
@@ -115,24 +114,24 @@ def lscv_select(sample) -> LscvResult:
     """Least-squares cross-validation on a log ladder with local refinement.
 
     The score is that of the reflection-kernel estimate on the sample's
-    2^14-node grid padded by 10%, computed from the cosine moments of the
-    binned sample (:func:`_lscv_score`).
+    2^14-node grid padded by 10%, or on a :func:`~diffkde.grids.bin_linear`
+    result's own grid, computed from the cosine moments of the binned
+    sample (:func:`_lscv_score`).
     """
     from scipy.optimize import minimize_scalar  # deferred: slow to import
-    x = _as_sample(sample)
+    binned = _histogram(sample, _LSCV_GRID_N)
+    x, n = binned.sample, binned.grid.n
     N = x.size
     if N < 10:
         raise ValueError("need at least 10 points")
     rng2 = (float(x.max()) - float(x.min())) ** 2
     if rng2 == 0.0:
         raise ValueError("degenerate sample: zero range")
-    spectrum = _sample_spectrum(x, _LSCV_GRID_N, _LSCV_PAD)
     ts = rng2 * np.logspace(np.log10(_LADDER_REL[0]), np.log10(_LADDER_REL[1]),
                             _LADDER_SIZE)
     # c_2k is read up to 2(K - 1), which stays within the grid's n modes
-    K = min(_mode_count(ts[0] / spectrum.grid.range ** 2, _LSCV_GRID_N),
-            (_LSCV_GRID_N + 1) // 2)
-    scores = _lscv_score(spectrum, N, ts, K)
+    K = min(_mode_count(ts[0] / binned.grid.range ** 2, n), (n + 1) // 2)
+    scores = _lscv_score(binned, N, ts, K)
     best = int(np.argmin(scores))
     curve = list(zip(ts.tolist(), scores.tolist()))
     if np.ptp(scores) < 1e-12 * max(1.0, abs(scores).max()):
@@ -146,7 +145,7 @@ def lscv_select(sample) -> LscvResult:
         return LscvResult(float(ts[_LADDER_SIZE // 2]), curve, degenerate=True)
     lo = ts[best - 1]
     hi = ts[best + 1]
-    res = minimize_scalar(lambda lt: float(_lscv_score(spectrum, N, np.exp(lt), K)),
+    res = minimize_scalar(lambda lt: float(_lscv_score(binned, N, np.exp(lt), K)),
                           bounds=(np.log(lo), np.log(hi)), method="bounded")
     return LscvResult(float(np.exp(res.x)), curve)
 

@@ -30,8 +30,8 @@ from .grids import (
     DensityEstimate1D,
     Grid1D,
     _as_sample,
-    _sample_spectrum,
-    _Spectrum,
+    _histogram,
+    bin_linear,
     integrate,
     trapezoid_weights,
 )
@@ -78,17 +78,17 @@ class DiffusionSolution:
 
 def build_pilot(sample, alpha: float = 1.0) -> PilotModel:
     """Gaussian-KDE pilot at the plug-in bandwidth, floored and renormalized,
-    on the grid the selector reads: ``make_grid(sample)``, or a held
-    spectrum's own (:func:`grids._sample_spectrum`)."""
-    spectrum = _sample_spectrum(sample)
-    return _pilot(spectrum, alpha, isj_select(spectrum).t_star)
+    on the grid the selector reads: ``make_grid(sample)``, or a
+    :func:`~diffkde.grids.bin_linear` result's own."""
+    binned = _histogram(sample)
+    return _pilot(binned, alpha, isj_select(binned).t_star)
 
 
-def _pilot(spectrum: _Spectrum, alpha: float, t: float) -> PilotModel:
-    p = gauss_kde_spectral(spectrum, t).values.copy()
+def _pilot(binned: BinnedHistogram, alpha: float, t: float) -> PilotModel:
+    p = gauss_kde_spectral(binned, t).values.copy()
     p = np.maximum(p, P_FLOOR_REL * p.max())
-    p /= integrate(p, spectrum.grid)
-    return PilotModel(spectrum.grid, p, alpha)
+    p /= integrate(p, binned.grid)
+    return PilotModel(binned.grid, p, alpha)
 
 
 def _operator_bands(pilot: PilotModel):
@@ -228,20 +228,21 @@ def diffusion_pipeline(sample, alpha: float = 1.0, n: int = 2 ** 14,
                        grid: Grid1D | None = None):
     """Full adaptive estimate: pilot, second-stage time, t*, final solve.
 
-    ``sample`` is a sample, selected on ``make_grid(sample, n)``, or a held
-    spectrum, selected on its own grid.  The pilot and the initial
-    condition share one binning on ``grid``, by default the selector's.
+    ``sample`` is a sample, selected on ``make_grid(sample, n)``, or a
+    :func:`~diffkde.grids.bin_linear` result, selected on its own grid.
+    The pilot and the initial condition share one binning on ``grid``, by
+    default the selector's.
     """
-    selector = _sample_spectrum(sample, n)
-    spectrum = (selector if grid is None or grid == selector.grid else
-                _Spectrum(selector.sample, grid))
-    x = spectrum.sample
+    selector = _histogram(sample, n)
+    x = selector.sample
+    binned = (selector if grid is None or grid == selector.grid else
+              bin_linear(x, grid))
     report = isj_select(selector)
-    pilot = _pilot(spectrum, alpha, report.t_star)
-    lf = lf_norm(spectrum.binned, pilot, report.t2_star)
+    pilot = _pilot(binned, alpha, report.t_star)
+    lf = lf_norm(binned, pilot, report.t2_star)
     si = sigma_inv_mean(x, pilot)
     t_star = diffusion_t_star(lf, si, x.size)
-    sol = solve_diffusion(spectrum.binned, pilot, t_star)
+    sol = solve_diffusion(binned, pilot, t_star)
     return sol, replace(report, t_star=t_star, method="diffusion", functional_norms={
         "lf_norm": lf, "sigma_inv_mean": si, **report.functional_norms})
 

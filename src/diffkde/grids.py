@@ -1,5 +1,5 @@
 """Uniform grids, linear binning, cosine transforms, quadrature and the
-spectrum of a binned sample.
+binned histogram that holds its cosine moments.
 
 Everything downstream (spectral smoothing, plug-in bandwidth selection,
 PDE solvers) operates on the uniform node lattices defined here, in one
@@ -10,7 +10,7 @@ endpoints, so the node step is ``(hi - lo) / (n - 1)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +31,10 @@ class Grid1D:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
 
     @property
+    def shape(self):
+        return (self.n,)
+
+    @property
     def step(self) -> float:
         return (self.hi - self.lo) / (self.n - 1)
 
@@ -48,20 +52,6 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class BinnedHistogram:
-    """Node weights of a linearly binned sample; weights sum to one."""
-
-    grid: Grid1D
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.grid.n,):
-            raise ValueError("weights length must equal grid.n")
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
 class DensityEstimate1D:
     """Density values on a grid together with the squared bandwidth used."""
 
@@ -73,8 +63,8 @@ class DensityEstimate1D:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise ValueError("values length must equal grid.n")
-        if v.min() < -1e-12:
-            raise ValueError(f"density dips below -1e-12 (min {v.min():.3e})")
+        if not v.min() >= -1e-12:  # NaN fails this too
+            raise ValueError(f"density is NaN or dips below -1e-12 (min {v.min():.3e})")
         object.__setattr__(self, "values", np.clip(v, 0.0, None))
 
 
@@ -127,7 +117,7 @@ def bin_linear(sample, grid: Grid1D) -> BinnedHistogram:
     right = np.bincount(idx, frac, grid.n)
     w = np.bincount(idx, minlength=grid.n) - right
     w[1:] += right[:-1]
-    return BinnedHistogram(grid, w / x.size)
+    return _binned(grid, w / x.size, x)
 
 
 def integrate(values, grid: Grid1D) -> float:
@@ -191,48 +181,46 @@ def cosine_synthesis(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
     return d + sign.reshape(shape) * last
 
 
-class _Spectrum:
-    """The cosine moments c of one binned sample (1D or 2D), taken once and
-    read by every selector functional and smoother of that sample.
+@dataclass(frozen=True)
+class BinnedHistogram:
+    """Node weights of a linearly binned sample on a 1D or 2D grid, summing
+    to one, and their cosine moments.
 
-    ``_Spectrum(sample, grid, pad_fraction)`` bins on first use of
-    ``binned`` and transforms on first use of ``c``, so a caller that reads
-    neither does no work; ``pad_fraction`` is the padding ``grid`` was made
-    with, for the selector reports.  ``_Spectrum(binned)`` holds a binned
-    histogram without its sample.  The axis weights w_k (pi k)^{2j} (w_0 = 1,
-    else 2) are cached per axis and order; in 1D they carry c_k^2 too, so a
-    functional is one exp and one dot (in 2D two exps and a bilinear form).
+    :func:`bin_linear` and :func:`~diffkde.kde2d.bin_linear_2d` attach the
+    sample they binned as ``sample``, which the selectors read; a histogram
+    made from its grid and weights alone has none.  The moments are taken
+    on first use of ``moments`` and then read by every selector functional
+    and smoother of the histogram.  The axis weights w_k (pi k)^{2j}
+    (w_0 = 1, else 2) are cached per axis and order; in 1D they carry c_k^2
+    too, so a functional is one exp and one dot (in 2D two exps and a
+    bilinear form).
     """
 
-    def __init__(self, sample, grid=None, pad_fraction=None):
-        if grid is None:  # ``sample`` is a binned histogram
-            self.binned, self.sample, self.grid = sample, None, sample.grid
-        else:
-            self.sample, self.grid = sample, grid
-        self.pad_fraction = pad_fraction
-        self._weighted = {}
+    grid: Grid1D  # or kde2d.Grid2D
+    weights: np.ndarray
+    sample: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != self.grid.shape:
+            raise ValueError("weights shape must match grid")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_weighted", {})
 
     @cached_property
-    def binned(self):
-        if isinstance(self.grid, Grid1D):
-            return bin_linear(self.sample, self.grid)
-        from . import kde2d  # kde2d builds on this module
-        return kde2d.bin_linear_2d(self.sample, self.grid)
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        c = self.binned.weights
+    def moments(self) -> np.ndarray:
+        c = self.weights
         for axis in range(c.ndim):
             c = cosine_moments(c, axis=axis)
         return c
 
     @cached_property
     def c2(self) -> np.ndarray:
-        return self.c * self.c
+        return self.moments * self.moments
 
     @cached_property
     def k2(self) -> list:
-        return [(np.pi * np.arange(n)) ** 2 for n in self.c.shape]
+        return [(np.pi * np.arange(n)) ** 2 for n in self.weights.shape]
 
     def _weights(self, axis: int, j: int) -> np.ndarray:
         p = self._weighted.get((axis, j))
@@ -245,34 +233,34 @@ class _Spectrum:
         return p
 
     def norm(self, j: int, t: float) -> float:
-        """2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t) of a 1D spectrum;
+        """2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t) of a 1D histogram;
         mode 0 carries no power at j >= 1 and is left out of the sum, and
         the sum stops at mode :func:`_last_mode`, past which every term is
         below e^-40."""
-        end = _last_mode(j, t, self.c.size) + 1
+        end = _last_mode(j, t, self.weights.size) + 1
         return float(self._weights(0, j)[1:end] @ np.exp(-self.k2[0][1:end] * t))
 
     def psi(self, i: int, j: int, t: float) -> float:
-        """The signed mixed functional of a 2D spectrum (kde2d.psi_hat)."""
+        """The signed mixed functional of a 2D histogram (kde2d.psi_hat)."""
         a = self._weights(0, i) * np.exp(-self.k2[0] * t)
         b = self._weights(1, j) * np.exp(-self.k2[1] * t)
         return float((-1.0) ** (i + j) * (a @ self.c2 @ b))
 
-    def refined(self) -> "_Spectrum":
-        """The spectrum of the same sample on the same interval with twice
-        the nodes along each axis."""
+    def refined(self) -> "BinnedHistogram":
+        """The same sample binned on the same interval with twice the nodes
+        along each axis."""
         g = self.grid
         if isinstance(g, Grid1D):
-            grid = Grid1D(g.lo, g.hi, 2 * g.n)
-        else:
-            grid = type(g)(*(Grid1D(a.lo, a.hi, 2 * a.n) for a in (g.x1, g.x2)))
-        return _Spectrum(self.sample, grid, self.pad_fraction)
+            return bin_linear(self.sample, Grid1D(g.lo, g.hi, 2 * g.n))
+        from . import kde2d  # kde2d builds on this module
+        return kde2d.bin_linear_2d(
+            self.sample, type(g)(*(Grid1D(a.lo, a.hi, 2 * a.n) for a in (g.x1, g.x2))))
 
     def smooth(self, unit_times) -> np.ndarray:
         """The node weights evolved by the zero-flux heat flow to time
         ``unit_times[axis]`` along each axis: mode k damped by
         exp(-(pi k)^2 t / 2), then the cosine synthesis."""
-        c = self.c
+        c = self.moments
         for axis, t in enumerate(unit_times):
             shape = [1] * c.ndim
             shape[axis] = -1
@@ -280,6 +268,21 @@ class _Spectrum:
         for axis in range(c.ndim):
             c = cosine_synthesis(c, axis=axis)
         return c
+
+
+def _binned(grid, weights, sample) -> BinnedHistogram:
+    """The histogram of ``sample`` with these node weights, carrying it."""
+    binned = BinnedHistogram(grid, weights)
+    object.__setattr__(binned, "sample", sample)
+    return binned
+
+
+def _sampled(binned: BinnedHistogram) -> BinnedHistogram:
+    """``binned`` itself, once it is known to carry its sample."""
+    if binned.sample is None:
+        raise ValueError("the histogram carries no sample: a selector reads the sample, "
+                         "which bin_linear and bin_linear_2d attach")
+    return binned
 
 
 _LOG_CUT = 40.0  # norm terms past their peak and below e^-40 are dropped
@@ -304,13 +307,10 @@ def _last_mode(j: int, t: float, n: int) -> int:
     return n - 1 if k >= n - 1 else int(k) + 1
 
 
-def _spectrum(binned) -> _Spectrum:
-    """The held spectrum itself, or that of a binned histogram (1D or 2D)."""
-    return binned if isinstance(binned, _Spectrum) else _Spectrum(binned)
-
-
-def _sample_spectrum(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> _Spectrum:
-    """A held spectrum itself, or that of the sample on ``make_grid``: how a
-    caller chooses a 1D selector's grid beyond ``n``."""
-    return sample if isinstance(sample, _Spectrum) else _Spectrum(
-        _as_sample(sample), make_grid(sample, n, pad_fraction), pad_fraction)
+def _histogram(sample, n: int = 2 ** 14) -> BinnedHistogram:
+    """A 1D histogram that carries its sample, as it is, or the sample
+    binned on ``make_grid(sample, n)``: what a 1D selector reads."""
+    if isinstance(sample, BinnedHistogram):
+        return _sampled(sample)
+    x = _as_sample(sample)
+    return bin_linear(x, make_grid(x, n))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import BinnedHistogram, DensityEstimate1D, _as_sample, _spectrum
+from .grids import BinnedHistogram, DensityEstimate1D, _as_sample
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -43,17 +43,16 @@ def gauss_kde_exact(sample, xs, t: float) -> np.ndarray:
 def gauss_kde_spectral(binned: BinnedHistogram, t: float) -> DensityEstimate1D:
     """Heat-equation (zero-flux) solution on the grid interval at time t.
 
-    ``binned`` is a binned histogram or the held spectrum of a sample
-    (:class:`grids._Spectrum`), smoothed at the unit time t / range^2.
+    ``binned`` is smoothed from its cosine moments at the unit time
+    t / range^2; t must be finite.
     Coincides with the reflection-kernel estimator on the interval; in the
     interior of a grid padded by at least ~6*sqrt(t) it agrees with
     :func:`gauss_kde_exact` to a few parts in 1e4.
     """
-    if not t > 0:
-        raise ValueError("bandwidth t must be positive")
-    spectrum = _spectrum(binned)
-    grid = spectrum.grid
-    vals = spectrum.smooth((t / grid.range ** 2,)) / grid.range
+    if not 0 < t < np.inf:
+        raise ValueError("bandwidth t must be positive and finite")
+    grid = binned.grid
+    vals = binned.smooth((t / grid.range ** 2,)) / grid.range
     vals[np.abs(vals) < 1e-15] = 0.0
     return DensityEstimate1D(grid, np.clip(vals, 0.0, None), t)
 

@@ -5,8 +5,8 @@ The selector is the 2D analogue of the fixed-point plug-in rule: a
 recursion over mixed derivative functionals psi_{i,j} on the unit
 square, solved for the smallest fixed point of gamma(t) = t, followed by
 diagonal bandwidth entries computed from the level-2 functionals at that
-root.  The 2D cosine moments of the binned sample are computed once per
-selection and held in a spectrum that every functional reads.
+root.  The 2D cosine moments of the binned sample are computed once and
+held by its histogram, which every functional and the smoother read.
 
 scipy's ndimage, sparse and special are imported inside the masked-domain
 code that calls them, so the free-space paths load no scipy.
@@ -25,7 +25,15 @@ from .bandwidth import (
     _grid_fixed_point,
     gaussian_reference_norm,
 )
-from .grids import Grid1D, _cells, _Spectrum, _spectrum, make_grid, trapezoid_weights
+from .grids import (
+    BinnedHistogram,
+    Grid1D,
+    _binned,
+    _cells,
+    _sampled,
+    make_grid,
+    trapezoid_weights,
+)
 
 _K = 4  # the level the psi recursion starts from
 
@@ -38,18 +46,6 @@ class Grid2D:
     @property
     def shape(self):
         return (self.x1.n, self.x2.n)
-
-
-@dataclass(frozen=True)
-class BinnedHistogram2D:
-    grid: Grid2D
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != self.grid.shape:
-            raise ValueError("weights shape must match grid")
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -99,14 +95,16 @@ def make_grid_2d(points, n: int = 2 ** 8, pad_fraction: float = 0.1) -> Grid2D:
     return Grid2D(make_grid(p[:, 0], n, pad_fraction), make_grid(p[:, 1], n, pad_fraction))
 
 
-def _sample_spectrum_2d(points, n: int = 2 ** 8, pad_fraction: float = 0.1) -> _Spectrum:
-    """A held 2D spectrum itself, or that of the points on ``make_grid_2d``:
-    how a caller chooses a 2D selector's grid beyond ``n``."""
-    return points if isinstance(points, _Spectrum) else _Spectrum(
-        _as_sample2d(points), make_grid_2d(points, n, pad_fraction), pad_fraction)
+def _histogram_2d(points, n: int = 2 ** 8) -> BinnedHistogram:
+    """A 2D histogram that carries its points, as it is, or the points
+    binned on ``make_grid_2d(points, n)``: what a 2D selector reads."""
+    if isinstance(points, BinnedHistogram):
+        return _sampled(points)
+    p = _as_sample2d(points)
+    return bin_linear_2d(p, make_grid_2d(p, n))
 
 
-def bin_linear_2d(points, grid: Grid2D) -> BinnedHistogram2D:
+def bin_linear_2d(points, grid: Grid2D) -> BinnedHistogram:
     """Bilinear binning: each point splits 1/N over its four corner nodes."""
     p = _as_sample2d(points)
     w = np.zeros(grid.shape)
@@ -118,7 +116,7 @@ def bin_linear_2d(points, grid: Grid2D) -> BinnedHistogram2D:
             wx = fx if dx else 1.0 - fx
             wy = fy if dy else 1.0 - fy
             w += np.bincount(flat + (dx * n2 + dy), wx * wy, w.size).reshape(w.shape)
-    return BinnedHistogram2D(grid, w / p.shape[0])
+    return _binned(grid, w / p.shape[0], p)
 
 
 def integrate_2d(values, grid: Grid2D) -> float:
@@ -127,7 +125,7 @@ def integrate_2d(values, grid: Grid2D) -> float:
     return float(w1 @ np.asarray(values, dtype=float) @ w2)
 
 
-def psi_hat(i: int, j: int, t_ij: float, binned2d: BinnedHistogram2D) -> float:
+def psi_hat(i: int, j: int, t_ij: float, binned2d: BinnedHistogram) -> float:
     """Plug-in estimate of the mixed functional E[f^(2i,2j)(X)] at pilot
     time t_ij, on the unit square.
 
@@ -138,13 +136,12 @@ def psi_hat(i: int, j: int, t_ij: float, binned2d: BinnedHistogram2D) -> float:
                   exp(-(k^2 + l^2) pi^2 t_ij),
 
     w_k = 1 for k = 0 and 2 otherwise.  This signed convention is what
-    makes the stage recursion's bracket positive at every level.
-    ``binned2d`` is a binned histogram, whose moments are computed here,
-    or the spectrum a selector holds for its sample.
+    makes the stage recursion's bracket positive at every level.  The
+    moments are those ``binned2d`` holds, computed on its first use.
     """
     if not t_ij > 0:
         raise ValueError("t_ij must be positive")
-    return _spectrum(binned2d).psi(i, j, t_ij)
+    return binned2d.psi(i, j, t_ij)
 
 
 def t_stage_2d(i: int, j: int, psi_ip1_j: float, psi_i_jp1: float, N: int) -> float:
@@ -160,7 +157,7 @@ def t_stage_2d(i: int, j: int, psi_ip1_j: float, psi_i_jp1: float, N: int) -> fl
     return val ** (1.0 / (2 + i + j))
 
 
-def _gamma_levels(t, k, spectrum, N, seed_level=None):
+def _gamma_levels(t, k, binned2d, N, seed_level=None):
     """Run the psi/t recursion from level k down to 2; return gamma and the
     level-2 set.
 
@@ -173,23 +170,19 @@ def _gamma_levels(t, k, spectrum, N, seed_level=None):
         times = {(i, level - i): t if psis is None else t_stage_2d(
                      i, level - i, psis[(i + 1, level - i)], psis[(i, level - i + 1)], N)
                  for i in range(level + 1)}
-        psis = {(i, j): psi_hat(i, j, tij, spectrum) for (i, j), tij in times.items()}
+        psis = {(i, j): psi_hat(i, j, tij, binned2d) for (i, j), tij in times.items()}
     g = (2.0 * np.pi * N * (psis[(0, 2)] + psis[(2, 0)] + 2.0 * psis[(1, 1)])) ** (
         -1.0 / 3.0)
     return g, psis
 
 
-def gamma_2d(t: float, k: int, binned2d: BinnedHistogram2D, N: int):
-    """gamma(t) of the 2D fixed-point rule; also returns the level-2 set.
-
-    ``binned2d`` is a binned histogram or a held spectrum, as in
-    :func:`psi_hat`.
-    """
+def gamma_2d(t: float, k: int, binned2d: BinnedHistogram, N: int):
+    """gamma(t) of the 2D fixed-point rule; also returns the level-2 set."""
     if k < 3:
         raise ValueError("k must be >= 3")
     if not t > 0:
         raise ValueError("t must be positive")
-    return _gamma_levels(t, k, _spectrum(binned2d), N)
+    return _gamma_levels(t, k, binned2d, N)
 
 
 def _diag_entries(psis, N):
@@ -200,16 +193,16 @@ def _diag_entries(psis, N):
     return t1, t2
 
 
-def _select_2d(spectrum: _Spectrum, k: int, normal_ref: bool = False):
+def _select_2d(binned2d: BinnedHistogram, k: int, normal_ref: bool = False):
     """Shared driver for both 2D selectors; normal_ref switches the mode.
 
     Without normal_ref, solve gamma(t) = t for its smallest root above one
     grid step of the finer axis.  With it, seed level k+1 from the
     product-Gaussian closed form at the per-axis sample standard
-    deviations.  ``spectrum`` is the held spectrum of the sample.
+    deviations.  ``binned2d`` is the histogram of the sample.
     Raises ValueError on fewer than 50 points or an axis of zero range.
     """
-    p, grid = spectrum.sample, spectrum.grid
+    p, grid = binned2d.sample, binned2d.grid
     N = p.shape[0]
     if N < 50:
         raise ValueError("need at least 50 points")
@@ -221,18 +214,18 @@ def _select_2d(spectrum: _Spectrum, k: int, normal_ref: bool = False):
         seed = {(i, k + 1 - i): (-1.0) ** (k + 1)
                 * gaussian_reference_norm(i, s1) * gaussian_reference_norm(k + 1 - i, s2)
                 for i in range(k + 2)}
-        t_star, psis = _gamma_levels(None, k, spectrum, N, seed_level=seed)
+        t_star, psis = _gamma_levels(None, k, binned2d, N, seed_level=seed)
         evaluations, method = 0, "normal_ref_2d"
     else:
-        t_star, evaluations, spectrum = _grid_fixed_point(
-            lambda t, s: gamma_2d(t, k, s, N)[0], spectrum)
-        _, psis = gamma_2d(t_star, k, spectrum, N)
+        t_star, evaluations, binned2d = _grid_fixed_point(
+            lambda t, b: gamma_2d(t, k, b, N)[0], binned2d)
+        _, psis = gamma_2d(t_star, k, binned2d, N)
         method = "isj2d"
     t1u, t2u = _diag_entries(psis, N)
     report = BandwidthReport(
         t_star=t_star, t2_star=t_star, iterations=evaluations,
         functional_norms={f"psi_{i}{j}": v for (i, j), v in psis.items()},
-        converged=True, method=method, pad_fraction=spectrum.pad_fraction)
+        converged=True, method=method)
     return t_star, t1u * grid.x1.range ** 2, t2u * grid.x2.range ** 2, report
 
 
@@ -243,14 +236,14 @@ def isj2d_select(points, n: int = 2 ** 8):
     root above one grid step of the finer axis on the unit-square bracket
     [0, 0.1] with the same routine as the 1D selector, from 2D cosine
     moments of the sample binned on ``make_grid_2d(points, n)``, computed
-    once (or of a held spectrum, :func:`_sample_spectrum_2d`, on its own
-    grid; ``n`` is then unused), and refined as the 1D grid is when every
+    once (or of a :func:`bin_linear_2d` result, on its own grid; ``n`` is
+    then unused), and refined as the 1D grid is when every
     root lies below one step.  Returns (t_star, t_x1, t_x2, report): the
     unit-square fixed point and the data-scale diagonal squared bandwidths.
     Raises ArithmeticError when the bracket holds no root above one grid
     step, ValueError when an axis has zero range.
     """
-    return _select_2d(_sample_spectrum_2d(points, n), _K)
+    return _select_2d(_histogram_2d(points, n), _K)
 
 
 def normal_ref_2d_select(points):
@@ -259,24 +252,24 @@ def normal_ref_2d_select(points):
     Level 5 functionals are taken from the product-Gaussian closed form
     psi_{i,j} = (-1)^{i+j} ||f1^(i)||^2 ||f2^(j)||^2 at the per-axis
     sample standard deviations; the rest of the recursion is data driven,
-    on ``make_grid_2d(points)`` or a held spectrum's own grid.
+    on ``make_grid_2d(points)`` or a :func:`bin_linear_2d` result's own
+    grid.
     """
-    return _select_2d(_sample_spectrum_2d(points), _K, normal_ref=True)
+    return _select_2d(_histogram_2d(points), _K, normal_ref=True)
 
 
-def gauss_kde_2d(binned2d: BinnedHistogram2D, t) -> DensityEstimate2D:
+def gauss_kde_2d(binned2d: BinnedHistogram, t) -> DensityEstimate2D:
     """Separable zero-flux heat smoothing of 2D node weights.
 
-    ``binned2d`` is a binned histogram or the held spectrum of a sample;
-    ``t`` is a common data-scale squared bandwidth or a (t_x1, t_x2) pair,
-    each axis smoothed at t / range^2.
+    ``binned2d`` is smoothed from its cosine moments; ``t`` is a common
+    data-scale squared bandwidth or a (t_x1, t_x2) pair, each axis smoothed
+    at t / range^2, and must be finite.
     """
     t1, t2 = (t, t) if np.isscalar(t) else t
-    if not (t1 > 0 and t2 > 0):
-        raise ValueError("bandwidths must be positive")
-    spectrum = _spectrum(binned2d)
-    g = spectrum.grid
-    vals = spectrum.smooth((t1 / g.x1.range ** 2, t2 / g.x2.range ** 2))
+    if not (0 < t1 < np.inf and 0 < t2 < np.inf):
+        raise ValueError("bandwidths must be positive and finite")
+    g = binned2d.grid
+    vals = binned2d.smooth((t1 / g.x1.range ** 2, t2 / g.x2.range ** 2))
     vals = vals / (g.x1.range * g.x2.range)
     vals[np.abs(vals) < 1e-15] = 0.0
     return DensityEstimate2D(g, vals, (float(t1), float(t2)))
@@ -311,7 +304,7 @@ def _masked_operator(mask: DomainMask):
     return (S1, S2), np.outer(w1, w2)[m]
 
 
-def solve_heat_masked(binned2d: BinnedHistogram2D, mask: DomainMask, t) -> DensityEstimate2D:
+def solve_heat_masked(binned2d: BinnedHistogram, mask: DomainMask, t) -> DensityEstimate2D:
     """Heat flow to time t inside the mask with zero flux at its boundary.
 
     ``t`` is a common data-scale squared bandwidth or a (t_x1, t_x2) pair,

@@ -174,10 +174,10 @@ def dct_cosine_synthesis(coeffs, axis: int = -1) -> np.ndarray:
     return dct(b, type=1, axis=axis) + _alternating(b, axis) * np.take(b, [-1], axis=axis)
 
 
-def full_norm(spectrum, j: int, t: float) -> float:
+def full_norm(binned, j: int, t: float) -> float:
     """2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t) over every mode of a
-    held 1D spectrum: ``_Spectrum.norm`` without its cut."""
-    return float(spectrum._weights(0, j)[1:] @ np.exp(-spectrum.k2[0][1:] * t))
+    1D histogram: ``BinnedHistogram.norm`` without its cut."""
+    return float(binned._weights(0, j)[1:] @ np.exp(-binned.k2[0][1:] * t))
 
 
 def unfloored_fixed_point(f):
@@ -230,7 +230,7 @@ def unfloored_uncut(monkeypatch):
     ``isj_select`` and ``isj2d_select`` compute the cut-free, floor-free
     results they are checked against."""
     from diffkde import bandwidth, grids
-    monkeypatch.setattr(grids._Spectrum, "norm", full_norm)
+    monkeypatch.setattr(grids.BinnedHistogram, "norm", full_norm)
     monkeypatch.setattr(bandwidth, "_smallest_fixed_point",
                         lambda f, floor: unfloored_fixed_point(f))
 

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 
-from diffkde import isj_select, sj_normal_ref_select
+from diffkde import (
+    build_pilot,
+    diffusion_pipeline,
+    isj_select,
+    lscv_select,
+    sj_normal_ref_select,
+)
 from diffkde.bandwidth import (
     XI,
     _LADDER,
@@ -16,7 +22,7 @@ from diffkde.bandwidth import (
     gaussian_reference_norm,
     stage_t,
 )
-from diffkde.grids import _Spectrum, bin_linear, cosine_moments, make_grid
+from diffkde.grids import BinnedHistogram, bin_linear, cosine_moments, make_grid
 from diffkde.testbed import registry
 from reference import full_norm, unfloored_fixed_point, unfloored_uncut
 
@@ -55,11 +61,10 @@ def iterated_fixed_point(x, l=5, n=2 ** 14):
     once it oscillates, stopped at an absolute step below eps.  Returns the
     data-scale t, or None when 100 steps do not reach the stop."""
     binned, grid = binned_on_grid(x, n)
-    spectrum = _Spectrum(binned)
     eps = float(np.finfo(float).eps)
     z, prev_step, damped = eps, None, False
     for it in range(1, 101):
-        z_new = XI * gamma_chain(z, l, spectrum, x.size)[0]
+        z_new = XI * gamma_chain(z, l, binned, x.size)[0]
         if damped:
             z_new = 0.5 * (z + z_new)
         step = z_new - z
@@ -144,14 +149,15 @@ class TestFunctionalNorm:
     def test_held_spectrum_matches_per_call_formula(self):
         x = registry()["claw"].sample(1000, np.random.default_rng(23))
         binned, _ = binned_on_grid(x, 2 ** 14)
-        spectrum = _Spectrum(binned)
-        # repeated orders and times exercise the cached weighted powers
+        # repeated orders and times exercise the cached weighted powers; a
+        # histogram of the same weights made afresh holds no moments yet
         for t in (1e-7, 1e-5, 1e-3, 5e-2, 1e-5):
             for j in (1, 2, 3, 4, 6, 7, 2):
-                held = functional_norm(spectrum, j, t)
+                held = functional_norm(binned, j, t)
                 assert held == pytest.approx(per_call_functional_norm(binned, j, t),
                                              rel=1e-12), (j, t)
-                assert functional_norm(binned, j, t) == pytest.approx(held, rel=1e-12)
+                fresh = BinnedHistogram(binned.grid, binned.weights)
+                assert functional_norm(fresh, j, t) == pytest.approx(held, rel=1e-12)
 
     def test_invalid_args(self):
         from diffkde import Grid1D, bin_linear
@@ -354,9 +360,25 @@ class TestIsjSelect:
         with pytest.raises(ValueError, match="zero range"):
             isj_select(np.full(N, 3.0))
 
-    def test_pad_fraction_recorded(self):
-        x = np.random.default_rng(20).normal(size=500)
-        assert isj_select(x).pad_fraction == 0.1
+    def test_selects_on_the_grid_of_a_histogram(self):
+        # a bin_linear result is selected on its own grid; the pinned values
+        # keep that grid choice bit for bit
+        x = registry()["claw"].sample(1000, np.random.default_rng(70))
+        binned = bin_linear(x, make_grid(x, 4096, 0.3))
+        rep = isj_select(binned)
+        assert (rep.t_star, rep.t2_star, rep.iterations) == (
+            0.002966557052600282, 0.004309834990487677, 19)
+        assert sj_normal_ref_select(binned).t_star == 0.056621834900104265
+        assert isj_select(binned, n=2 ** 14).t_star == rep.t_star  # n is unused
+
+    @pytest.mark.parametrize("call", [
+        isj_select, sj_normal_ref_select, lscv_select, build_pilot,
+        diffusion_pipeline])
+    def test_histogram_without_its_sample_is_refused(self, call):
+        x = np.random.default_rng(21).normal(size=500)
+        binned = bin_linear(x, make_grid(x))
+        with pytest.raises(ValueError, match="no sample"):
+            call(BinnedHistogram(binned.grid, binned.weights))
 
 
 class TestFloorAndCutOracles:
@@ -367,10 +389,10 @@ class TestFloorAndCutOracles:
         ts = np.geomspace(1.0 / (2 ** 14 - 1) ** 2, 0.1, 40)
         for name in sorted(registry()):
             x = registry()[name].sample(1000, np.random.default_rng([31, 0]))
-            spectrum = _Spectrum(binned_on_grid(x, 2 ** 14)[0])
+            binned = binned_on_grid(x, 2 ** 14)[0]
             for j in range(1, 8):
-                cut = [functional_norm(spectrum, j, t) for t in ts]
-                full = [full_norm(spectrum, j, t) for t in ts]
+                cut = [functional_norm(binned, j, t) for t in ts]
+                full = [full_norm(binned, j, t) for t in ts]
                 np.testing.assert_allclose(cut, full, rtol=1e-13, atol=0, err_msg=f"{name} j={j}")
 
     @staticmethod
@@ -395,8 +417,8 @@ class TestFloorAndCutOracles:
         # the floored scan returns the reference's root, bit for bit, and
         # saves the evaluations below the floor
         x = registry()["claw"].sample(1000, np.random.default_rng(1))
-        spectrum = _Spectrum(binned_on_grid(x, 2 ** 14)[0])
-        f = lambda t: XI * gamma_chain(t, 5, spectrum, x.size)[0]
+        binned = binned_on_grid(x, 2 ** 14)[0]
+        f = lambda t: XI * gamma_chain(t, 5, binned, x.size)[0]
         floor = 1.0 / (2 ** 14 - 1) ** 2
         z, calls = _smallest_fixed_point(f, floor)
         z0, calls0 = unfloored_fixed_point(f)

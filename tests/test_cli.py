@@ -31,9 +31,9 @@ from diffkde import (
 )
 import diffkde
 from diffkde import testbed
+from diffkde.bandwidth import functional_norm
 from diffkde.cli import _read_lines, _read_sample, _write_csv, main
-from diffkde.grids import _sample_spectrum, _Spectrum
-from diffkde.kde2d import _sample_spectrum_2d
+from diffkde.kde2d import psi_hat
 
 
 @pytest.fixture()
@@ -86,8 +86,17 @@ class TestBandwidthCommand:
         assert main(["bandwidth", "--input", str(path), "--output", str(out),
                      "--dims", "2", "--grid-n-2d", "64", "--pad", "0.2"]) == 0
         doc = json.loads(out.read_text())
-        t_star, t1, t2, _ = isj2d_select(_sample_spectrum_2d(p, 64, 0.2))
+        t_star, t1, t2, _ = isj2d_select(bin_linear_2d(p, make_grid_2d(p, 64, 0.2)))
         assert (doc["t_star_unit"], doc["t_x1"], doc["t_x2"]) == (t_star, t1, t2)
+
+    @pytest.mark.parametrize("selector", ["isj", "sj"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_pad_is_reported(self, dims, selector, sample_file, sample2d_file, tmp_path):
+        path, _ = sample2d_file if dims == 2 else sample_file
+        out = tmp_path / "bw.json"
+        assert main(["bandwidth", "--input", str(path), "--output", str(out),
+                     "--dims", str(dims), "--selector", selector, "--pad", "0.3"]) == 0
+        assert json.loads(out.read_text())["pad_fraction"] == 0.3
 
     def test_two_dimensional_report(self, sample2d_file, tmp_path):
         path, _ = sample2d_file
@@ -121,7 +130,7 @@ class TestDensityCommand:
                      "--method", "gauss", "--grid-n", "4096", "--pad", "0.3"]) == 0
         vals = np.loadtxt(out, delimiter=",", comments="#")[:, 1]
         grid = make_grid(x, n=4096, pad_fraction=0.3)
-        t = isj_select(_sample_spectrum(x, 4096, 0.3)).t_star
+        t = isj_select(bin_linear(x, make_grid(x, 4096, 0.3))).t_star
         np.testing.assert_array_equal(vals, gauss_kde_spectral(bin_linear(x, grid), t).values)
 
     def test_diffusion_integral_header(self, sample_file, tmp_path):
@@ -487,11 +496,11 @@ def library_t(selector, data, dims, pad):
         return (0.05, 0.05) if dims == 2 else 0.05
     if dims == 2:
         sel = isj2d_select if selector == "isj" else normal_ref_2d_select
-        return sel(_sample_spectrum_2d(data, 64, pad))[1:3]
+        return sel(bin_linear_2d(data, make_grid_2d(data, 64, pad)))[1:3]
     if selector == "lscv":
         return lscv_select(data).t
     sel = isj_select if selector == "isj" else sj_normal_ref_select
-    return sel(_sample_spectrum(data, 4096, pad)).t_star
+    return sel(bin_linear(data, make_grid(data, 4096, pad))).t_star
 
 
 def library_output(command, selector, data, mask):
@@ -510,7 +519,7 @@ def library_output(command, selector, data, mask):
         if selector == "isj":
             sol = diffusion_pipeline(x, n=4096, grid=grid)[0]
         else:
-            pilot = build_pilot(_sample_spectrum(x, 4096, pad))
+            pilot = build_pilot(bin_linear(x, grid))
             sol = solve_diffusion(bin_linear(x, grid), pilot, t)
         if command == "density-diffusion":
             return sol.estimate.values
@@ -585,6 +594,23 @@ class TestSelectorMatrix:
                      "--selector", spec]) == 2
         assert repr(spec) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, dims", [
+        pytest.param(["bandwidth"], 1, id="bandwidth"),
+        pytest.param(["density"], 1, id="density"),
+        pytest.param(["density", "--dims", "2"], 2, id="density-2d"),
+        pytest.param(["sample", "--method", "theta", "--count", "5"], 1, id="sample-theta"),
+    ])
+    @pytest.mark.parametrize("spec", ["fixed:inf", "fixed:nan"])
+    def test_fixed_time_must_be_finite(self, argv, dims, spec, sample_file, sample2d_file,
+                                       tmp_path, capsys):
+        # an infinite time smooths every mode to NaN and is no bandwidth
+        path, _ = sample2d_file if dims == 2 else sample_file
+        out = tmp_path / "o"
+        assert main(argv + ["--selector", spec, "--input", str(path),
+                            "--output", str(out)]) == 2
+        assert "fixed:T requires a number T > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _count_calls(monkeypatch):
     """Count the binnings and cosine transforms, wrapping each of the three
@@ -612,8 +638,8 @@ class TestOneSpectrum:
     """A command bins its sample once and takes one cosine transform per
     axis, shared by the selector and the smoother.  The comparators keep
     their own: LSCV scores on its 2^14-node grid whatever --grid-n is, and
-    Abramson's pilot is a second spectrum on the output grid; a command
-    that reads no spectrum takes none."""
+    Abramson's pilot is a second histogram on the output grid; a command
+    that reads no histogram bins none."""
 
     @pytest.mark.parametrize("argv, dims, binnings, transforms", [
         pytest.param(["bandwidth", "--selector", "isj"], 1, 1, 1, id="bandwidth-isj"),
@@ -651,6 +677,24 @@ class TestOneSpectrum:
         diffusion_pipeline(x, n=4096)
         assert counts == {"bin_linear": 1, "bin_linear_2d": 0, "cosine_moments": 1}
 
+    def test_histogram_moments_are_taken_once(self, monkeypatch):
+        # the functionals and the smoother of one histogram share its moments
+        x = np.random.default_rng(62).normal(size=500)
+        binned = bin_linear(x, make_grid(x, n=4096))
+        counts = _count_calls(monkeypatch)
+        functional_norm(binned, 2, 1e-3)
+        functional_norm(binned, 3, 1e-3)
+        gauss_kde_spectral(binned, 0.01)
+        assert counts["cosine_moments"] == 1
+
+    def test_2d_histogram_moments_are_taken_once_per_axis(self, monkeypatch):
+        p = np.random.default_rng(63).normal(size=(300, 2))
+        binned = bin_linear_2d(p, make_grid_2d(p, n=64))
+        counts = _count_calls(monkeypatch)
+        psi_hat(1, 1, 1e-3, binned)
+        gauss_kde_2d(binned, 0.01)
+        assert counts["cosine_moments"] == 2
+
     @pytest.mark.parametrize("selector", ["isj", FIXED])
     @pytest.mark.parametrize("command", ["density", "sample"])
     def test_pad_reaches_the_adaptive_path(self, command, selector, sample_file, tmp_path):
@@ -660,11 +704,11 @@ class TestOneSpectrum:
                 ["sample", "--method", "euler", "--count", "300", "--seed", "3"])
         assert main(argv + ["--selector", selector, "--pad", "0.3", "--grid-n", "4096",
                             "--input", str(path), "--output", str(out)]) == 0
-        spectrum = _Spectrum(x, make_grid(x, n=4096, pad_fraction=0.3))
+        binned = bin_linear(x, make_grid(x, n=4096, pad_fraction=0.3))
         if selector == "isj":
-            sol = diffusion_pipeline(spectrum)[0]
+            sol = diffusion_pipeline(binned)[0]
         else:
-            sol = solve_diffusion(spectrum.binned, build_pilot(spectrum), 0.05)
+            sol = solve_diffusion(binned, build_pilot(binned), 0.05)
         if command == "density":
             written = np.loadtxt(out, delimiter=",", comments="#")[:, 1]
             np.testing.assert_array_equal(written, sol.estimate.values)

@@ -21,6 +21,7 @@ from diffkde import comparators, testbed
 from diffkde import (
     Grid1D,
     abramson_estimate,
+    bin_linear,
     gauss_kde_exact,
     hall_park_estimate,
     integrate,
@@ -29,7 +30,6 @@ from diffkde import (
     sinc_kde,
 )
 from diffkde.comparators import _LADDER_SIZE, _lscv_score
-from diffkde.grids import _sample_spectrum
 
 
 def full_matrix_sq(x):
@@ -61,8 +61,8 @@ class TestLscvScore:
         # reflection-kernel score of the binned sample is the whole-line
         # pair sum up to binning
         y = np.random.default_rng(42).standard_t(3, size=400)
-        spectrum = _sample_spectrum(y, 2 ** 14, 0.1)
-        spectral = float(_lscv_score(spectrum, y.size, t, 2 ** 13))
+        binned = bin_linear(y, make_grid(y, 2 ** 14, 0.1))
+        spectral = float(_lscv_score(binned, y.size, t, 2 ** 13))
         direct = lscv_score_pairs(pairwise_sq(y), y.size, t)
         assert spectral == pytest.approx(direct, rel=1e-4)
 

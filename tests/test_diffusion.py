@@ -30,7 +30,7 @@ from diffkde.diffusion import (
     lf_norm,
     sigma_inv_mean,
 )
-from diffkde.grids import _sample_spectrum, _Spectrum, trapezoid_weights
+from diffkde.grids import trapezoid_weights
 
 from reference import asymptotic_kernel, csiszar_divergence, feller_explosion_check
 
@@ -73,7 +73,7 @@ class TestPilotModel:
 
     def test_build_pilot_mass_and_positivity(self):
         x = np.random.default_rng(1).normal(size=500)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         assert pm.p.min() > 0
         assert integrate(pm.p, pm.grid) == pytest.approx(1.0, abs=1e-10)
 
@@ -204,7 +204,7 @@ class TestLfNorm:
 class TestSigmaInvMean:
     def test_alpha_one_is_unity(self):
         x = np.random.default_rng(7).normal(size=1000)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12), alpha=1.0)
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)), alpha=1.0)
         assert sigma_inv_mean(x, pm) == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_zero_against_quadrature(self):
@@ -291,11 +291,11 @@ class TestPipeline:
     def test_held_spectrum_is_selected_on_its_own_grid(self):
         x = np.random.default_rng([100, 1]).normal(size=500)
         grid = make_grid(x, n=2 ** 12, pad_fraction=0.3)
-        sol, rep = diffusion_pipeline(_Spectrum(x, grid, 0.3))
-        ref = isj_select(_sample_spectrum(x, 2 ** 12, 0.3))
+        sol, rep = diffusion_pipeline(bin_linear(x, grid))
+        ref = isj_select(bin_linear(x, make_grid(x, 2 ** 12, 0.3)))
         assert sol.estimate.grid == grid
-        assert (rep.t2_star, rep.pad_fraction) == (ref.t2_star, 0.3)
-        np.testing.assert_array_equal(build_pilot(_Spectrum(x, grid)).p, sol.pilot.p)
+        assert rep.t2_star == ref.t2_star
+        np.testing.assert_array_equal(build_pilot(bin_linear(x, grid)).p, sol.pilot.p)
 
     def test_time_stable_across_grid_resolutions(self):
         x = np.random.default_rng([100, 0]).normal(size=1000)
@@ -408,28 +408,28 @@ def _reference_loop(x, pm, t, n_steps, count, rng):
 class TestEulerSample:
     def test_draws_stay_in_domain(self):
         x = np.random.default_rng(10).normal(size=300)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         draws = euler_sample(x, pm, 0.05, 200, 2000, np.random.default_rng(0))
         assert np.all(np.isfinite(draws))
         assert draws.min() >= pm.grid.lo and draws.max() <= pm.grid.hi
 
     def test_deterministic_given_rng(self):
         x = np.random.default_rng(10).normal(size=100)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         a = euler_sample(x, pm, 0.02, 150, 500, np.random.default_rng(42))
         b = euler_sample(x, pm, 0.02, 150, 500, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_small_time_stays_near_data(self):
         x = np.random.default_rng(10).normal(size=200)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         draws = euler_sample(x, pm, 1e-6, 100, 1000, np.random.default_rng(1))
         assert abs(draws.mean() - x.mean()) < 0.05
 
     def test_matches_interp_reference_loop(self):
         # the sampler's uniform-grid lookup against np.interp, same stream
         x = np.random.default_rng(12).normal(size=400)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         y, _ = _reference_loop(x, pm, 0.03, 150, 2000, np.random.default_rng(3))
         draws = euler_sample(x, pm, 0.03, 150, 2000, np.random.default_rng(3))
         assert np.max(np.abs(draws - y)) <= 1e-12
@@ -458,7 +458,7 @@ class TestEulerSample:
 
     def test_leaves_stream_and_inputs_unchanged(self):
         x = np.random.default_rng(12).normal(size=400)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         x0, mu0, sigma20 = x.copy(), pm.mu.copy(), pm.sigma2.copy()
         ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
         _reference_loop(x, pm, 0.03, 150, 2000, ref_rng)
@@ -471,7 +471,7 @@ class TestEulerSample:
         # one step's buffers are reused; drawing the normals as one
         # (n_steps, count) block would hold 80 MB here
         x = np.random.default_rng(10).normal(size=1000)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         tracemalloc.start()
         try:
             euler_sample(x, pm, 0.02, 100, 10 ** 5, np.random.default_rng(0))
@@ -483,26 +483,26 @@ class TestEulerSample:
     @pytest.mark.parametrize("t", [-0.01, np.nan, np.inf])
     def test_invalid_t_star(self, t):
         x = np.random.default_rng(10).normal(size=50)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         with pytest.raises(ValueError, match="t_star"):
             euler_sample(x, pm, t, 100, 100, np.random.default_rng(0))
 
     def test_zero_time_returns_start_points(self):
         x = np.random.default_rng(10).normal(size=50)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         draws = euler_sample(x, pm, 0.0, 100, 100, np.random.default_rng(0))
         start = x[np.random.default_rng(0).integers(0, x.size, size=100)]
         assert np.array_equal(draws, start)
 
     def test_sample_outside_pilot_grid(self):
         x = np.random.default_rng(10).normal(size=50)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         with pytest.raises(ValueError, match="sample outside pilot grid"):
             euler_sample(x + 100.0, pm, 0.01, 100, 100, np.random.default_rng(0))
 
     def test_validation(self):
         x = np.random.default_rng(10).normal(size=50)
-        pm = build_pilot(_sample_spectrum(x, 2 ** 12))
+        pm = build_pilot(bin_linear(x, make_grid(x, 2 ** 12)))
         with pytest.raises(ValueError):
             euler_sample(x, pm, 0.01, 50, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -66,6 +66,13 @@ class TestGaussKdeSpectral:
         with pytest.raises(ValueError):
             gauss_kde_spectral(bin_linear([0.5], g), -1.0)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_t(self, t):
+        # an infinite time damps every mode to 0 * inf = NaN
+        g = Grid1D(0.0, 1.0, 16)
+        with pytest.raises(ValueError, match="finite"):
+            gauss_kde_spectral(bin_linear([0.5], g), t)
+
 
 class TestThetaKernel:
     def test_dual_representations_agree(self):

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from scipy.special import ive
 
 from diffkde import (
-    BinnedHistogram2D,
+    BinnedHistogram,
     DensityEstimate2D,
     DomainMask,
     Grid1D,
@@ -23,13 +23,13 @@ from diffkde import (
     isj2d_select,
     make_grid_2d,
     normal_ref_2d_select,
+    registry,
     solve_heat_masked,
 )
-from diffkde.grids import _Spectrum, cosine_moments
+from diffkde.grids import cosine_moments
 from diffkde.kde2d import (
     _diag_entries,
     _masked_operator,
-    _sample_spectrum_2d,
     _select_2d,
     gamma_2d,
     psi_hat,
@@ -83,14 +83,14 @@ def iterated_fixed_point_2d(pts, k=4, n=2 ** 8):
     step below eps.  Returns (t_star, t_x1, t_x2), or None when 100 steps
     do not reach the stop."""
     grid = make_grid_2d(pts, n, 0.1)
-    spectrum = _Spectrum(bin_linear_2d(pts, grid))
+    binned = bin_linear_2d(pts, grid)
     N = pts.shape[0]
     eps = float(np.finfo(float).eps)
     z = 0.05
     for _ in range(100):
-        z_new = gamma_2d(z, k, spectrum, N)[0]
+        z_new = gamma_2d(z, k, binned, N)[0]
         if abs(z_new - z) < eps:
-            t1, t2 = _diag_entries(gamma_2d(z_new, k, spectrum, N)[1], N)
+            t1, t2 = _diag_entries(gamma_2d(z_new, k, binned, N)[1], N)
             return z_new, t1 * grid.x1.range ** 2, t2 * grid.x2.range ** 2
         z = z_new
     return None
@@ -173,7 +173,7 @@ class TestPsiHat:
         rng = np.random.default_rng(31)
         pts = rng.uniform(0.2, 0.8, size=(200, 2))
         b = bin_linear_2d(pts, _unit_grid(2 ** 8))
-        bt = BinnedHistogram2D(b.grid, b.weights.T)
+        bt = BinnedHistogram(b.grid, b.weights.T)
         assert psi_hat(1, 2, 3e-3, b) == pytest.approx(
             psi_hat(2, 1, 3e-3, bt), rel=1e-12)
 
@@ -185,13 +185,14 @@ class TestPsiHat:
     def test_held_spectrum_matches_per_call_formula(self):
         pts = np.random.default_rng(32).normal(size=(1000, 2)) * [1.0, 2.0]
         b = bin_linear_2d(pts, make_grid_2d(pts, 2 ** 8, 0.1))
-        spectrum = _Spectrum(b)
-        # repeated pairs and times exercise the cached axis factors
+        # repeated pairs and times exercise the cached axis factors; a
+        # histogram of the same weights made afresh holds no moments yet
         for t in (1e-6, 1e-4, 1e-3, 5e-2, 1e-4):
             for i, j in ((0, 2), (2, 0), (1, 1), (3, 1), (0, 4), (2, 3), (1, 1)):
-                held = psi_hat(i, j, t, spectrum)
+                held = psi_hat(i, j, t, b)
                 assert held == pytest.approx(per_call_psi(i, j, t, b), rel=1e-12), (i, j, t)
-                assert psi_hat(i, j, t, b) == pytest.approx(held, rel=1e-12)
+                fresh = BinnedHistogram(b.grid, b.weights)
+                assert psi_hat(i, j, t, fresh) == pytest.approx(held, rel=1e-12)
 
 
 class TestStage2D:
@@ -211,11 +212,27 @@ class TestStage2D:
 
 
 class TestSelector2D:
+    def test_selects_on_the_grid_of_a_histogram(self):
+        # a bin_linear_2d result is selected on its own grid; the pinned
+        # values keep that grid choice bit for bit
+        reg = registry()
+        p = np.column_stack([reg["bimodal_pm2"].sample(800, np.random.default_rng(71)),
+                             reg["skewed_bimodal"].sample(800, np.random.default_rng(72))])
+        assert isj2d_select(bin_linear_2d(p, make_grid_2d(p, 64, 0.2)))[:3] == (
+            0.0006198451283331838, 0.04395508897771606, 0.07185480218178444)
+
+    @pytest.mark.parametrize("select", [isj2d_select, normal_ref_2d_select])
+    def test_histogram_without_its_sample_is_refused(self, select):
+        pts = np.random.default_rng(3).normal(size=(200, 2))
+        b = bin_linear_2d(pts, make_grid_2d(pts))
+        with pytest.raises(ValueError, match="no sample"):
+            select(BinnedHistogram(b.grid, b.weights))
+
     def test_recursion_depth_insensitive(self):
         pts = np.random.default_rng(1).multivariate_normal(
             [0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]], size=1000)
         z4 = isj2d_select(pts)[0]
-        z5 = _select_2d(_sample_spectrum_2d(pts), 5)[0]
+        z5 = _select_2d(bin_linear_2d(pts, make_grid_2d(pts)), 5)[0]
         assert abs(z4 - z5) / z4 < 0.15
 
     def test_isotropic_sample_gives_isotropic_bandwidths(self):
@@ -305,6 +322,12 @@ class TestSelector2D:
 
 
 class TestGaussKde2D:
+    @pytest.mark.parametrize("t", [np.inf, (0.01, np.inf), (np.nan, 0.01)])
+    def test_non_finite_t(self, t):
+        b = bin_linear_2d([[0.5, 0.5]], _unit_grid(16))
+        with pytest.raises(ValueError, match="finite"):
+            gauss_kde_2d(b, t)
+
     def test_single_point_peak(self):
         g = _unit_grid(2 ** 8)
         b = bin_linear_2d([[0.5, 0.5]], g)
@@ -433,7 +456,7 @@ class TestMaskedHeat:
             warnings.simplefilter("ignore")  # the two-component mask warns
             mask = DomainMask(g, inside)
         wts = np.where(inside, np.random.default_rng(40).random(g.shape), 0.0)
-        b = BinnedHistogram2D(g, wts / wts.sum())
+        b = BinnedHistogram(g, wts / wts.sum())
         (S1, S2), w = _masked_operator(mask)
         S = (tt[0] * S1 + tt[1] * S2).toarray()
         ref = expm(S / w[:, None]) @ (b.weights[inside] / w)
@@ -495,4 +518,4 @@ class TestEstimate2DContainer:
         with pytest.raises(ValueError):
             DensityEstimate2D(g, np.ones((8, 8)), (0.01, 0.01))
         with pytest.raises(ValueError):
-            BinnedHistogram2D(g, np.ones((8, 16)))
+            BinnedHistogram(g, np.ones((8, 16)))

@@ -14,7 +14,7 @@ import diffkde
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "diffkde"
-MAX_EXPORTS = 35
+MAX_EXPORTS = 33
 MAX_DEFAULTED = 11  # defaulted parameters of exported functions
 
 
@@ -105,3 +105,14 @@ def test_no_function_only_tests_call():
                     for name, method in _defined(tree)
                     if name not in attrs and (method or name not in names))
     assert unused == []
+
+
+def test_cli_imports_no_private_name():
+    # the CLI is a layer over the public library: a grid is chosen by
+    # binning on it, not through a private helper
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = sorted(a.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.level or (node.module or "").split(".")[0] == "diffkde")
+                     for a in node.names if a.name.startswith("_"))
+    assert private == []
