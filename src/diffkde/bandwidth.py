@@ -13,6 +13,7 @@ histogram in.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .grids import BinnedHistogram, _histogram
 
 # ((6 sqrt 2 - 3)/7)^{2/5}; the ratio between the fixed-point map and the
 # final-stage bandwidth formula.
-XI = ((6.0 * np.sqrt(2.0) - 3.0) / 7.0) ** 0.4
+XI = ((6.0 * math.sqrt(2.0) - 3.0) / 7.0) ** 0.4
 
 _MIN_N = 30
 _L = 5  # the stage chain's depth l
@@ -62,7 +63,11 @@ class BandwidthReport:
 
 def _double_factorial_odd(j: int) -> float:
     """1*3*5*...*(2j-1)."""
-    return float(np.prod(np.arange(1, 2 * j, 2, dtype=float))) if j >= 1 else 1.0
+    return float(math.prod(range(1, 2 * j, 2)))
+
+
+# stage_t's numerator (1 + 2^{-j-1/2})/3 * (2j-1)!! for j < 16, where (2j-1)!! < 2^53
+_STAGE_NUM = [(1.0 + 2.0 ** (-j - 0.5)) / 3.0 * _double_factorial_odd(j) for j in range(16)]
 
 
 def gaussian_reference_norm(j: int, sigma: float) -> float:
@@ -88,15 +93,14 @@ def functional_norm(binned: BinnedHistogram, j: int, t_j: float) -> float:
 
 
 def stage_t(j: int, norm_next: float, N: int) -> float:
-    """Stage-optimal pilot time for estimating ||f^(j)||^2.
+    """Stage-optimal pilot time for estimating ||f^(j)||^2, j = 1..15.
 
     *t_j = [ (1 + 2^{-j-1/2})/3 * (2j-1)!! / (N sqrt(pi/2) ||f^(j+1)||^2)
            ]^{2/(3+2j)}
     """
-    if not (norm_next > 0 and N >= 2):
-        raise ValueError("need norm_next > 0 and N >= 2")
-    num = (1.0 + 2.0 ** (-j - 0.5)) / 3.0 * _double_factorial_odd(j)
-    return (num / (N * np.sqrt(np.pi / 2.0) * norm_next)) ** (2.0 / (3 + 2 * j))
+    if not (norm_next > 0 and N >= 2 and 1 <= j < len(_STAGE_NUM)):
+        raise ValueError(f"need norm_next > 0, N >= 2 and 1 <= j < {len(_STAGE_NUM)}")
+    return (_STAGE_NUM[j] / (N * math.sqrt(math.pi / 2.0) * norm_next)) ** (2.0 / (3 + 2 * j))
 
 
 def gamma_chain(t: float, l: int, binned: BinnedHistogram, N: int):
@@ -114,10 +118,10 @@ def gamma_chain(t: float, l: int, binned: BinnedHistogram, N: int):
     norms = {}
     for j in range(l, 0, -1):
         norm = functional_norm(binned, j + 1, t)
-        if not (np.isfinite(norm) and norm > 0):
+        if not (math.isfinite(norm) and norm > 0):
             raise ArithmeticError(f"stage j={j}: nonpositive functional estimate")
         t = stage_t(j, norm, N)
-        if not (np.isfinite(t) and t > 0):
+        if not (math.isfinite(t) and t > 0):
             raise ArithmeticError(f"stage j={j}: nonpositive stage time")
         norms[j + 1] = norm
         times[j] = t
@@ -155,7 +159,7 @@ def _smallest_fixed_point(f, floor: float):
         nonlocal calls
         calls += 1
         v = t - f(t)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ArithmeticError("non-finite fixed-point residual")
         return v
 

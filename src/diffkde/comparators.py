@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import _as_sample, _histogram, bin_linear, cosine_synthesis
+from .grids import _as_sample, _check_time, _histogram, bin_linear, cosine_synthesis
 from .kde1d import SQRT_2PI, _normal_cdf, _normal_pdf, gauss_kde_exact, gauss_kde_spectral
 
 _LADDER_SIZE = 61
@@ -163,8 +163,7 @@ def abramson_estimate(sample, grid, t: float) -> np.ndarray:
     c_k = mean_i cos(pi k u_i) exp(-(pi k)^2 s_i / 2), each point's terms
     cut where that damping falls below e^-40.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_time(t, positive=True)
     x = _as_sample(sample)
     pilot = np.interp(x, grid.nodes, gauss_kde_spectral(bin_linear(x, grid), t).values)
     if pilot.min() <= 0:
@@ -186,8 +185,7 @@ def sinc_kde(sample, grid, t: float) -> np.ndarray:
     integral over [a, b] is exactly 1.  Values may be negative; that is
     inherent to the kernel.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_time(t, positive=True)
     x = _as_sample(sample)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
@@ -210,8 +208,7 @@ def hall_park_estimate(sample, xs, t: float, beta: float) -> np.ndarray:
     h = sqrt(t).  rho -> 0 away from the boundary, so the estimator
     reduces to the mass-renormalized plain KDE in the interior.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_time(t, positive=True)
     x = _as_sample(sample)
     if x.max() > beta:
         raise ValueError("data above the truncation point")

@@ -30,6 +30,7 @@ from .grids import (
     DensityEstimate1D,
     Grid1D,
     _as_sample,
+    _check_time,
     _histogram,
     bin_linear,
     integrate,
@@ -180,8 +181,7 @@ def solve_diffusion(ic, pilot: PilotModel, t: float) -> DiffusionSolution:
     """
     if not np.all(np.isfinite(pilot.p)):
         raise ValueError("non-finite pilot")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     u = _initial_values(ic, pilot)
     grid = pilot.grid
     stats = {"steps": 0, "rejected": 0}
@@ -201,8 +201,7 @@ def lf_norm(ic, pilot: PilotModel, t2: float) -> float:
     g(t2) comes from one contour solve; the generator is then applied
     exactly, so no time difference (and no difference step) is involved.
     """
-    if not t2 > 0:
-        raise ValueError("t2 must be positive")
+    _check_time(t2, "t2", positive=True)
     g = solve_diffusion(ic, pilot, t2).estimate.values
     d = _apply(_operator_bands(pilot), g)
     return float(integrate(d * d, pilot.grid))
@@ -273,8 +272,7 @@ def euler_sample(sample, pilot: PilotModel, t_star: float, n_steps: int,
         raise ValueError("n_steps must be >= 100")
     if count <= 0:
         raise ValueError("count must be positive")
-    if not (np.isfinite(t_star) and t_star >= 0):
-        raise ValueError(f"t_star must be finite and >= 0, got {t_star}")
+    _check_time(t_star, "t_star")
     x = _as_sample(sample)
     grid = pilot.grid
     lo, hi, R = grid.lo, grid.hi, grid.range
@@ -296,13 +294,13 @@ def euler_sample(sample, pilot: PilotModel, t_star: float, n_steps: int,
         i[...] = f  # truncation is the floor: every draw lies in [lo, hi]
         f -= i
         rng.standard_normal(out=z)
-        np.take(da, i, out=g)
+        np.take(da, i, out=g, mode="wrap")  # i is in range; "raise" mode buffers out
         g *= f
-        g += np.take(a, i, out=u)
+        g += np.take(a, i, out=u, mode="wrap")
         y += g
-        np.take(db, i, out=g)
+        np.take(db, i, out=g, mode="wrap")
         g *= f
-        g += np.take(b, i, out=u)
+        g += np.take(b, i, out=u, mode="wrap")
         g *= z
         y += g
         out = (y < lo) | (y > hi)

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+_BLOCK = 2 ** 15  # points per bin_linear block: its two buffers stay in cache
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -68,13 +70,19 @@ class DensityEstimate1D:
         object.__setattr__(self, "values", np.clip(v, 0.0, None))
 
 
-def _as_sample(sample) -> np.ndarray:
+def _as_sample(sample, finite: bool = True) -> np.ndarray:
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("empty sample")
-    if not np.all(np.isfinite(x)):
+    if finite and not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
     return x
+
+
+def _check_time(t, name: str = "t", positive: bool = False) -> None:
+    """Refuse, naming it, a time that is NaN, infinite, negative, or 0 when ``positive``."""
+    if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
+        raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {t}")
 
 
 def make_grid(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> Grid1D:
@@ -87,35 +95,56 @@ def make_grid(sample, n: int = 2 ** 14, pad_fraction: float = 0.1) -> Grid1D:
     """
     if pad_fraction < 0:
         raise ValueError("pad_fraction must be >= 0")
-    x = _as_sample(sample)
+    x = _as_sample(sample, finite=False)
     lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN propagates to both
+        raise ValueError("sample contains non-finite values")
     rng = hi - lo
     if rng == 0.0:
         return Grid1D(lo - 1.0, hi + 1.0, n)
     return Grid1D(lo - pad_fraction * rng, hi + pad_fraction * rng, n)
 
 
-def _cells(x: np.ndarray, grid: Grid1D):
-    """Left node index and fraction towards the right node of each point.
+def _cells(x: np.ndarray, grid: Grid1D, pos=None, idx=None):
+    """Left node index and fraction towards the right node of each point,
+    written into the buffers ``idx`` and ``pos`` when they are given.
 
-    Raises ValueError for a point outside the grid.
+    Raises ValueError for a point outside the grid or a NaN.
     """
-    if x.min() < grid.lo or x.max() > grid.hi:
+    if not (grid.lo <= x.min() and x.max() <= grid.hi):  # NaN fails this too
         raise ValueError("sample point outside grid")
-    pos = x - grid.lo
+    pos = np.subtract(x, grid.lo, out=pos)
     pos /= grid.step
-    idx = pos.astype(np.int64)
+    idx = np.empty(x.size, dtype=np.int64) if idx is None else idx
+    idx[...] = pos  # truncation: every position is >= 0
     np.minimum(idx, grid.n - 2, out=idx)
     pos -= idx
     return idx, pos
 
 
 def bin_linear(sample, grid: Grid1D) -> BinnedHistogram:
-    """Distribute each point's 1/N mass between its two bracketing nodes."""
-    x = _as_sample(sample)
-    idx, frac = _cells(x, grid)  # node idx gets 1 - frac, node idx + 1 gets frac
-    right = np.bincount(idx, frac, grid.n)
-    w = np.bincount(idx, minlength=grid.n) - right
+    """Distribute each point's 1/N mass between its two bracketing nodes.
+
+    The sample is read once, in blocks of ``_BLOCK`` points placed by
+    :func:`_cells` into two reused buffers, each block checked against the
+    grid while it sits in cache.  np.add.at sums the fractions in the order
+    of one weighted bincount of the whole sample, so the weights do not
+    depend on the block size.
+    """
+    x = _as_sample(sample, finite=False)
+    right, counts = np.zeros(grid.n), np.zeros(grid.n, dtype=np.int64)
+    buf = np.empty(min(x.size, _BLOCK))
+    ibuf = np.empty(buf.size, dtype=np.int64)
+    for start in range(0, x.size, _BLOCK):
+        block = x[start:start + _BLOCK]
+        try:
+            idx, frac = _cells(block, grid, buf[:block.size], ibuf[:block.size])
+        except ValueError:
+            _as_sample(x)  # a non-finite value anywhere is reported first
+            raise
+        np.add.at(right, idx, frac)
+        counts += np.bincount(idx, minlength=grid.n)
+    w = counts - right  # node idx gets 1 - frac, node idx + 1 gets frac
     w[1:] += right[:-1]
     return _binned(grid, w / x.size, x)
 
@@ -238,7 +267,8 @@ class BinnedHistogram:
         the sum stops at mode :func:`_last_mode`, past which every term is
         below e^-40."""
         end = _last_mode(j, t, self.weights.size) + 1
-        return float(self._weights(0, j)[1:end] @ np.exp(-self.k2[0][1:end] * t))
+        e = self.k2[0][1:end] * -t
+        return float(self._weights(0, j)[1:end] @ np.exp(e, out=e))
 
     def psi(self, i: int, j: int, t: float) -> float:
         """The signed mixed functional of a 2D histogram (kde2d.psi_hat)."""
@@ -312,5 +342,5 @@ def _histogram(sample, n: int = 2 ** 14) -> BinnedHistogram:
     binned on ``make_grid(sample, n)``: what a 1D selector reads."""
     if isinstance(sample, BinnedHistogram):
         return _sampled(sample)
-    x = _as_sample(sample)
+    x = _as_sample(sample, finite=False)  # make_grid refuses non-finite values
     return bin_linear(x, make_grid(x, n))

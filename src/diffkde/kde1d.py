@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import BinnedHistogram, DensityEstimate1D, _as_sample
+from .grids import BinnedHistogram, DensityEstimate1D, _as_sample, _check_time
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -33,8 +33,7 @@ def _phi(u: np.ndarray, t: float) -> np.ndarray:
 
 def gauss_kde_exact(sample, xs, t: float) -> np.ndarray:
     """Direct-sum Gaussian KDE; the oracle for every spectral evaluation."""
-    if not t > 0:
-        raise ValueError("bandwidth t must be positive")
+    _check_time(t, positive=True)
     x = _as_sample(sample)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     return _phi(xs[:, None] - x[None, :], t).mean(axis=1)
@@ -49,8 +48,7 @@ def gauss_kde_spectral(binned: BinnedHistogram, t: float) -> DensityEstimate1D:
     interior of a grid padded by at least ~6*sqrt(t) it agrees with
     :func:`gauss_kde_exact` to a few parts in 1e4.
     """
-    if not 0 < t < np.inf:
-        raise ValueError("bandwidth t must be positive and finite")
+    _check_time(t, positive=True)
     grid = binned.grid
     vals = binned.smooth((t / grid.range ** 2,)) / grid.range
     vals[np.abs(vals) < 1e-15] = 0.0
@@ -65,6 +63,7 @@ def theta_sample(y, t: float, rng: np.random.Generator):
     ``y`` draws once per centre, as one call per centre would; many draws
     at one centre take an array of copies of it.
     """
+    _check_time(t)
     y = np.asarray(y, dtype=float)
     if not np.all((0.0 <= y) & (y <= 1.0)):
         raise ValueError("y must lie in [0, 1]")

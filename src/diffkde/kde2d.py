@@ -30,6 +30,7 @@ from .grids import (
     Grid1D,
     _binned,
     _cells,
+    _check_time,
     _sampled,
     make_grid,
     trapezoid_weights,
@@ -266,8 +267,8 @@ def gauss_kde_2d(binned2d: BinnedHistogram, t) -> DensityEstimate2D:
     at t / range^2, and must be finite.
     """
     t1, t2 = (t, t) if np.isscalar(t) else t
-    if not (0 < t1 < np.inf and 0 < t2 < np.inf):
-        raise ValueError("bandwidths must be positive and finite")
+    _check_time(t1, positive=True)
+    _check_time(t2, positive=True)
     g = binned2d.grid
     vals = binned2d.smooth((t1 / g.x1.range ** 2, t2 / g.x2.range ** 2))
     vals = vals / (g.x1.range * g.x2.range)
@@ -323,8 +324,8 @@ def solve_heat_masked(binned2d: BinnedHistogram, mask: DomainMask, t) -> Density
     if binned2d.weights[~mask.inside].sum() > 1e-12:
         raise ValueError("data mass outside the mask")
     t1, t2 = (t, t) if np.isscalar(t) else t
-    if not (t1 >= 0 and t2 >= 0):
-        raise ValueError("t must be >= 0")
+    _check_time(t1)
+    _check_time(t2)
     from scipy import sparse
     from scipy.special import ive
     (S1, S2), w = _masked_operator(mask)

@@ -5,7 +5,8 @@ mean of a benchmark mixture, the fixed-point scan and 1D functional
 norm without the grid-step floor and the underflow cut, the direct
 sums the comparators were once computed by: the LSCV score over all
 distinct pairs, Abramson's estimator and the sinc kernel on the whole line,
-and the node-aligned cosine transforms on scipy's type-I DCT.
+the node-aligned cosine transforms on scipy's type-I DCT, and the 1D
+linear binning and fixed-point stage chain in whole-array numpy.
 
 Named ``reference`` rather than ``oracles``: ``tests/`` and ``bench/`` are
 both top-level module roots in one pytest run, and ``bench/workloads.py``
@@ -21,7 +22,7 @@ from diffkde import DensityEstimate1D, gauss_kde_exact, integrate
 from diffkde.bandwidth import _LADDER, _MAX_REFINE, _RTOL
 from diffkde.comparators import _LADDER_REL, _LADDER_SIZE, LscvResult
 from diffkde.diffusion import PilotModel
-from diffkde.grids import trapezoid_weights
+from diffkde.grids import _last_mode, trapezoid_weights
 from diffkde.kde1d import SQRT_2PI, _phi
 
 _LOG_TINY = 40.0  # exp(-40) < 5e-18, safely below every tolerance used here
@@ -178,6 +179,42 @@ def full_norm(binned, j: int, t: float) -> float:
     """2 sum_{k>=1} c_k^2 (pi k)^{2j} exp(-(pi k)^2 t) over every mode of a
     1D histogram: ``BinnedHistogram.norm`` without its cut."""
     return float(binned._weights(0, j)[1:] @ np.exp(-binned.k2[0][1:] * t))
+
+
+def bincount_bin_linear(sample, grid) -> np.ndarray:
+    """``grids.bin_linear``'s node weights from one pass over the whole
+    sample: its positions and indices in two sample-sized arrays, then one
+    weighted and one plain ``np.bincount``."""
+    x = np.asarray(sample, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample contains non-finite values")
+    if x.min() < grid.lo or x.max() > grid.hi:
+        raise ValueError("sample point outside grid")
+    pos = x - grid.lo
+    pos /= grid.step
+    idx = np.minimum(pos.astype(np.int64), grid.n - 2)
+    pos -= idx
+    right = np.bincount(idx, pos, grid.n)
+    w = np.bincount(idx, minlength=grid.n) - right
+    w[1:] += right[:-1]
+    return w / x.size
+
+
+def numpy_stage_t(j: int, norm_next: float, N: int) -> float:
+    """``bandwidth.stage_t`` with its constant built in numpy on each call."""
+    num = (1.0 + 2.0 ** (-j - 0.5)) / 3.0 * float(np.prod(np.arange(1, 2 * j, 2, dtype=float)))
+    return (num / (N * np.sqrt(np.pi / 2.0) * norm_next)) ** (2.0 / (3 + 2 * j))
+
+
+def numpy_gamma_chain(t: float, l: int, binned, N: int):
+    """``bandwidth.gamma_chain`` on :func:`numpy_stage_t`, each norm's
+    exponential taken on a fresh array, as -(pi k)^2 t."""
+    times, norms = {}, {}
+    for j in range(l, 0, -1):
+        end = _last_mode(j + 1, t, binned.weights.size) + 1
+        norms[j + 1] = float(binned._weights(0, j + 1)[1:end] @ np.exp(-binned.k2[0][1:end] * t))
+        t = times[j] = numpy_stage_t(j, norms[j + 1], N)
+    return t, times, norms
 
 
 def unfloored_fixed_point(f):

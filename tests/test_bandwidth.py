@@ -1,6 +1,8 @@
 """Plug-in bandwidth selection: stage formulas, the functional-norm
 estimator against a literal O(N^2) oracle, and both selectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
@@ -24,7 +26,13 @@ from diffkde.bandwidth import (
 )
 from diffkde.grids import BinnedHistogram, bin_linear, cosine_moments, make_grid
 from diffkde.testbed import registry
-from reference import full_norm, unfloored_fixed_point, unfloored_uncut
+from reference import (
+    full_norm,
+    numpy_gamma_chain,
+    numpy_stage_t,
+    unfloored_fixed_point,
+    unfloored_uncut,
+)
 
 
 def direct_functional_norm(x, j, t_j):
@@ -112,6 +120,14 @@ class TestStageT:
             stage_t(1, -1.0, 100)
         with pytest.raises(ValueError):
             stage_t(1, 1.0, 1)
+        for j in (0, 16):  # the constants are tabled for j = 1..15
+            with pytest.raises(ValueError):
+                stage_t(j, 1.0, 100)
+
+    @pytest.mark.parametrize("j", range(1, 7))
+    def test_equals_numpy_reference(self, j):
+        for norm_next, N in ((0.7, 500), (1.3e4, 10 ** 6), (2.1e-3, 31), (5.9e11, 1000)):
+            assert stage_t(j, norm_next, N) == numpy_stage_t(j, norm_next, N)
 
 
 class TestFunctionalNorm:
@@ -173,6 +189,11 @@ class TestGammaChain:
         rng = np.random.default_rng(14)
         x = rng.normal(size=1000)
         return binned_on_grid(x, 2 ** 14)[0], 1000
+
+    def test_equals_numpy_reference(self):
+        binned, N = self._binned()
+        for t in np.geomspace(1e-12, 0.1, 23):
+            assert gamma_chain(t, 5, binned, N) == numpy_gamma_chain(t, 5, binned, N)
 
     def test_l1_is_single_stage(self):
         binned, N = self._binned()
@@ -259,6 +280,18 @@ class TestSmallestFixedPoint:
 
 
 class TestIsjSelect:
+    def test_peak_memory_at_a_million_points(self):
+        # the sample is read in blocks: no sample-sized temporary (15.7 MB
+        # when the sample was binned in one pass)
+        x = np.random.default_rng(26).normal(size=10 ** 6)
+        tracemalloc.start()
+        try:
+            isj_select(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_gaussian_amise_band(self):
         x = np.random.default_rng(15).normal(size=10 ** 4)
         rep = isj_select(x)

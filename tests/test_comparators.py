@@ -241,6 +241,16 @@ class TestSincKde:
         with pytest.raises(ValueError):
             sinc_kde([0.0, 1.0], Grid1D(0.0, 1.0, 16), 0.0)
 
+    @pytest.mark.parametrize("estimate", [
+        lambda t: sinc_kde([0.2, 0.7], Grid1D(0.0, 1.0, 16), t),
+        lambda t: abramson_estimate([0.2, 0.7], Grid1D(0.0, 1.0, 16), t),
+        lambda t: hall_park_estimate([0.2, 0.7], [0.5], t, 1.0),
+    ])
+    def test_infinite_t(self, estimate):
+        # sinc_kde once returned the uniform density on the sample range
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            estimate(np.inf)
+
     def test_zero_range(self):
         with pytest.raises(ValueError, match="zero range"):
             sinc_kde([0.5, 0.5], Grid1D(0.0, 1.0, 16), 0.01)

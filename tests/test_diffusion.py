@@ -114,6 +114,14 @@ class TestSolveDiffusion:
         with pytest.raises(ValueError):
             solve_diffusion(np.ones(pm.grid.n), pm, -0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time(self, t):
+        # NaN once returned the initial condition, and inf failed inside
+        # the banded solver with a message that did not name t
+        pm = _uniform_pilot()
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            solve_diffusion(np.ones(pm.grid.n), pm, t)
+
     def test_grid_mismatch(self):
         pm = _uniform_pilot()
         other = Grid1D(0.0, 2.0, pm.grid.n)
@@ -199,6 +207,8 @@ class TestLfNorm:
         pm = _uniform_pilot()
         with pytest.raises(ValueError):
             lf_norm(np.ones(pm.grid.n), pm, 0.0)
+        with pytest.raises(ValueError, match="t2 must be finite"):
+            lf_norm(np.ones(pm.grid.n), pm, np.inf)
 
 
 class TestSigmaInvMean:

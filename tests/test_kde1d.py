@@ -38,6 +38,11 @@ class TestGaussKdeExact:
         with pytest.raises(ValueError):
             gauss_kde_exact([0.0], [0.0], 0.0)
 
+    def test_infinite_t(self):
+        # an infinite kernel width would give zeros
+        with pytest.raises(ValueError, match="t must be finite"):
+            gauss_kde_exact([0.0], [0.0], np.inf)
+
 
 class TestGaussKdeSpectral:
     def test_large_t_uniform_limit(self):
@@ -183,6 +188,12 @@ class TestThetaSample:
             theta_sample(1.5, 0.1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             theta_sample(np.array([0.2, 1.5]), 0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan, -1.0])
+    def test_invalid_t(self, t):
+        # each of these once drew NaN
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            theta_sample(np.full(10, 0.5), t, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_array_of_centres_matches_per_draw_loop(self, seed):

@@ -370,6 +370,15 @@ class TestGaussKde2D:
 
 
 class TestMaskedHeat:
+    @pytest.mark.parametrize("t", [np.inf, (0.01, np.inf), np.nan, -0.01])
+    def test_invalid_time(self, t):
+        # an infinite time once raised OverflowError, which the CLI
+        # reported as an internal error
+        g = _unit_grid(2 ** 4)
+        b = bin_linear_2d([[0.5, 0.5]], g)
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            solve_heat_masked(b, DomainMask(g, np.ones(g.shape, dtype=bool)), t)
+
     def test_full_rectangle_matches_spectral(self):
         rng = np.random.default_rng(7)
         pts = np.column_stack([rng.uniform(0.2, 0.8, 800),
