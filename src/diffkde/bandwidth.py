@@ -66,10 +66,6 @@ def _double_factorial_odd(j: int) -> float:
     return float(math.prod(range(1, 2 * j, 2)))
 
 
-# stage_t's numerator (1 + 2^{-j-1/2})/3 * (2j-1)!! for j < 16, where (2j-1)!! < 2^53
-_STAGE_NUM = [(1.0 + 2.0 ** (-j - 0.5)) / 3.0 * _double_factorial_odd(j) for j in range(16)]
-
-
 def gaussian_reference_norm(j: int, sigma: float) -> float:
     """||f^(j)||^2 for a normal density with standard deviation sigma."""
     return _double_factorial_odd(j) / (2 ** (j + 1) * np.sqrt(np.pi) * sigma ** (2 * j + 1))
@@ -93,14 +89,15 @@ def functional_norm(binned: BinnedHistogram, j: int, t_j: float) -> float:
 
 
 def stage_t(j: int, norm_next: float, N: int) -> float:
-    """Stage-optimal pilot time for estimating ||f^(j)||^2, j = 1..15.
+    """Stage-optimal pilot time for estimating ||f^(j)||^2.
 
     *t_j = [ (1 + 2^{-j-1/2})/3 * (2j-1)!! / (N sqrt(pi/2) ||f^(j+1)||^2)
            ]^{2/(3+2j)}
     """
-    if not (norm_next > 0 and N >= 2 and 1 <= j < len(_STAGE_NUM)):
-        raise ValueError(f"need norm_next > 0, N >= 2 and 1 <= j < {len(_STAGE_NUM)}")
-    return (_STAGE_NUM[j] / (N * math.sqrt(math.pi / 2.0) * norm_next)) ** (2.0 / (3 + 2 * j))
+    if not (norm_next > 0 and N >= 2):
+        raise ValueError("need norm_next > 0 and N >= 2")
+    num = (1.0 + 2.0 ** (-j - 0.5)) / 3.0 * _double_factorial_odd(j)
+    return (num / (N * math.sqrt(math.pi / 2.0) * norm_next)) ** (2.0 / (3 + 2 * j))
 
 
 def gamma_chain(t: float, l: int, binned: BinnedHistogram, N: int):

@@ -117,6 +117,13 @@ class TestBinLinear:
         x[[i for i in (N - 1, _BLOCK - 1) if 0 < i < N]] = other
         assert np.array_equal(bin_linear(x, g).weights, bincount_bin_linear(x, g))
 
+    def test_finest_refined_grid_equals_one_pass_reference(self):
+        # 2^20 nodes, the finest grid a selector refines to: more nodes
+        # than points in a block
+        g = Grid1D(-2.0, 3.0, 2 ** 20)
+        x = np.random.default_rng(20).uniform(g.lo, g.hi, 3 * _BLOCK + 7)
+        assert np.array_equal(bin_linear(x, g).weights, bincount_bin_linear(x, g))
+
     def test_million_normal_draws_equal_one_pass_reference(self):
         x = np.random.default_rng(21).normal(size=10 ** 6)
         g = make_grid(x)
