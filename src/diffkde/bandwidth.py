@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BinnedHistogram, _histogram
+from .grids import BinnedHistogram, _check_time, _histogram
 
 # ((6 sqrt 2 - 3)/7)^{2/5}; the ratio between the fixed-point map and the
 # final-stage bandwidth formula.
@@ -81,8 +81,7 @@ def functional_norm(binned: BinnedHistogram, j: int, t_j: float) -> float:
 
     The moments are those ``binned`` holds, computed on its first use.
     """
-    if not t_j > 0:
-        raise ValueError("t_j must be positive")
+    _check_time(t_j, "t_j", positive=True)
     if j < 1:
         raise ValueError("j must be >= 1")
     return binned.norm(j, t_j)
@@ -109,8 +108,7 @@ def gamma_chain(t: float, l: int, binned: BinnedHistogram, N: int):
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_time(t, positive=True)
     times = {}
     norms = {}
     for j in range(l, 0, -1):

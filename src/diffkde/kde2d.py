@@ -140,8 +140,7 @@ def psi_hat(i: int, j: int, t_ij: float, binned2d: BinnedHistogram) -> float:
     makes the stage recursion's bracket positive at every level.  The
     moments are those ``binned2d`` holds, computed on its first use.
     """
-    if not t_ij > 0:
-        raise ValueError("t_ij must be positive")
+    _check_time(t_ij, "t_ij", positive=True)
     return binned2d.psi(i, j, t_ij)
 
 
@@ -181,8 +180,7 @@ def gamma_2d(t: float, k: int, binned2d: BinnedHistogram, N: int):
     """gamma(t) of the 2D fixed-point rule; also returns the level-2 set."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    if not t > 0:
-        raise ValueError("t must be positive")
+    _check_time(t, positive=True)
     return _gamma_levels(t, k, binned2d, N)
 
 

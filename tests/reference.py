@@ -5,8 +5,9 @@ mean of a benchmark mixture, the fixed-point scan and 1D functional
 norm without the grid-step floor and the underflow cut, the direct
 sums the comparators were once computed by: the LSCV score over all
 distinct pairs, Abramson's estimator and the sinc kernel on the whole line,
-the node-aligned cosine transforms on scipy's type-I DCT, and the 1D
-linear binning and fixed-point stage chain in whole-array numpy.
+LSCV's selection refined by scipy's bounded minimizer, the node-aligned
+cosine transforms on scipy's type-I DCT, and the 1D linear binning and
+fixed-point stage chain in whole-array numpy.
 
 Named ``reference`` rather than ``oracles``: ``tests/`` and ``bench/`` are
 both top-level module roots in one pytest run, and ``bench/workloads.py``
@@ -20,7 +21,7 @@ from scipy.fft import dct
 
 from diffkde import DensityEstimate1D, gauss_kde_exact, integrate
 from diffkde.bandwidth import _LADDER, _MAX_REFINE, _RTOL
-from diffkde.comparators import _LADDER_REL, _LADDER_SIZE, LscvResult
+from diffkde.comparators import _LADDER_REL, _LADDER_SIZE, LscvResult, _lscv_score
 from diffkde.diffusion import PilotModel
 from diffkde.grids import _last_mode, trapezoid_weights
 from diffkde.kde1d import SQRT_2PI, _phi
@@ -289,10 +290,13 @@ def lscv_score_pairs(d2: np.ndarray, N: int, t: float) -> float:
     return term1 - term2
 
 
-def direct_lscv_select(sample, pairs=pairwise_sq, score=lscv_score_pairs) -> LscvResult:
+def direct_lscv_select(sample, pairs=pairwise_sq, score=lscv_score_pairs,
+                       xatol: float = 1e-5) -> LscvResult:
     """``lscv_select`` on the direct sum ``score(pairs(x), N, t)``: the same
-    ladder, the same two fallbacks to its midpoint and the same bounded
-    refinement between the neighbours of the best ladder point."""
+    ladder and the same two fallbacks to its midpoint.  The minimum is
+    refined between the neighbours of the best ladder point by scipy's
+    bounded scalar minimizer, to ``xatol`` in log t: a reference for the
+    package's own bracket search, not the same code."""
     from scipy.optimize import minimize_scalar
     x = np.asarray(sample, dtype=float)
     N = x.size
@@ -307,8 +311,18 @@ def direct_lscv_select(sample, pairs=pairwise_sq, score=lscv_score_pairs) -> Lsc
         return LscvResult(float(ts[_LADDER_SIZE // 2]), curve, degenerate=True)
     res = minimize_scalar(lambda lt: score(d2, N, np.exp(lt)),
                           bounds=(np.log(ts[best - 1]), np.log(ts[best + 1])),
-                          method="bounded")
+                          method="bounded", options={"xatol": xatol})
     return LscvResult(float(np.exp(res.x)), curve)
+
+
+def spectral_lscv_select(binned, xatol: float = 1e-5) -> LscvResult:
+    """``direct_lscv_select`` on the spectral score of ``binned``, a
+    histogram that carries its sample, with every mode of its grid kept:
+    the package's selector as it was with scipy's refinement (the default
+    ``xatol``), or a tight minimizer of its score (``xatol=1e-12``)."""
+    K = (binned.grid.n + 1) // 2  # c_2k is read up to 2(K - 1) < n
+    return direct_lscv_select(binned.sample, lambda x: binned,
+                              lambda b, N, t: float(_lscv_score(b, N, t, K)), xatol)
 
 
 def direct_abramson(sample, xs, t: float) -> np.ndarray:

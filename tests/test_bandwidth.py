@@ -179,6 +179,9 @@ class TestFunctionalNorm:
             functional_norm(binned, 0, 0.01)
         with pytest.raises(ValueError):
             functional_norm(binned, 1, 0.0)
+        for t_j in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="t_j must be finite"):
+                functional_norm(binned, 2, t_j)
 
 
 class TestGammaChain:
@@ -191,6 +194,12 @@ class TestGammaChain:
         binned, N = self._binned()
         for t in np.geomspace(1e-12, 0.1, 23):
             assert gamma_chain(t, 5, binned, N) == numpy_gamma_chain(t, 5, binned, N)
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_refuses_a_nonfinite_time(self, t):
+        binned, N = self._binned()
+        with pytest.raises(ValueError, match="t must be finite"):
+            gamma_chain(t, 5, binned, N)
 
     def test_l1_is_single_stage(self):
         binned, N = self._binned()

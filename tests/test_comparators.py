@@ -15,6 +15,7 @@ from reference import (
     direct_sinc,
     lscv_score_pairs,
     pairwise_sq,
+    spectral_lscv_select,
 )
 
 from diffkde import comparators, testbed
@@ -30,6 +31,7 @@ from diffkde import (
     sinc_kde,
 )
 from diffkde.comparators import _LADDER_SIZE, _lscv_score
+from diffkde.grids import _histogram
 
 
 def full_matrix_sq(x):
@@ -69,8 +71,9 @@ class TestLscvScore:
     @pytest.mark.parametrize("case", sorted(testbed.registry()))
     def test_selection_matches_full_matrix_selection(self, case):
         # the same degenerate flag and ladder minimum as the full-matrix
-        # direct sum; binning on 2^14 nodes moves the refined t by up to
-        # 3.3e-3 at N = 300 (both double claws)
+        # direct sum, whose minimum scipy's bounded minimizer refines;
+        # binning on 2^14 nodes moves the refined t by up to 3.3e-3 at
+        # N = 300 (both double claws)
         x = testbed.registry()[case].sample(300, np.random.default_rng([43, 1]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -144,6 +147,40 @@ class TestLscvSelect:
     def test_zero_range(self):
         with pytest.raises(ValueError, match="zero range"):
             lscv_select(np.full(50, 3.0))
+
+
+def _lscv_draws(case):
+    """Draws of N = 1000: a registry case on streams [11, s], s < 3, and
+    [100, s], s < 10, or criterion 4's flipped exponential on [100, s]."""
+    if case == "flipped_exponential":
+        return [-np.random.default_rng([100, s]).exponential(size=1000) for s in range(10)]
+    mixture = testbed.registry()[case]
+    return [mixture.sample(1000, np.random.default_rng(seeds))
+            for seeds in [[11, s] for s in range(3)] + [[100, s] for s in range(10)]]
+
+
+class TestLscvRefinement:
+    """The bracket search against scipy's bounded minimizer on the same
+    spectral score (``reference.spectral_lscv_select``)."""
+
+    @pytest.mark.parametrize("case", sorted(testbed.registry()) + ["flipped_exponential"])
+    def test_matches_the_minimizer_of_its_score(self, case):
+        # the ladder decides degeneracy, so the flag and the fallback t
+        # equal the scipy-refined form's; elsewhere the refined t agrees
+        # with a tight minimizer, past which the score is flat to round-off
+        for x in _lscv_draws(case):
+            binned = _histogram(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = lscv_select(binned)
+                ref = spectral_lscv_select(binned)
+            assert res.degenerate == ref.degenerate
+            if res.degenerate:
+                assert res.t == ref.t
+            else:
+                tight = spectral_lscv_select(binned, xatol=1e-12)
+                assert abs(res.t - tight.t) <= 1e-6 * tight.t
+                assert abs(res.t - ref.t) <= 5e-6 * ref.t
 
 
 class TestAbramson:

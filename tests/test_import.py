@@ -2,6 +2,7 @@
 out of it, and a command loads only the scipy subpackages it runs.  These
 tests bound what is loaded, not how long it takes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -51,6 +52,32 @@ def _cli_loads(samples, *argv) -> list:
 ])
 def test_plugin_1d_commands_load_no_scipy(samples, argv):
     assert _cli_loads(samples, *argv, "--input", str(samples / "x.txt")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bandwidth", "--selector", "lscv"],
+    ["density", "--method", "sinc"],
+    ["density", "--method", "abramson"],
+])
+def test_lscv_commands_load_no_scipy(samples, argv):
+    assert _cli_loads(samples, *argv, "--input", str(samples / "x.txt")) == []
+
+
+def test_no_module_imports_scipy_optimize():
+    # LSCV refines its minimum with its own score; scipy.optimize alone
+    # would load 13 scipy subpackages
+    found = []
+    for path in sorted((SRC / "diffkde").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if f"{name}.".startswith("scipy.optimize.")]
+    assert found == []
 
 
 def test_free_space_2d_density_loads_no_scipy(samples):

@@ -181,6 +181,11 @@ class TestPsiHat:
         b = bin_linear_2d([[0.5, 0.5]], _unit_grid(16))
         with pytest.raises(ValueError):
             psi_hat(1, 1, 0.0, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any 0 * inf
+            for t_ij in (np.inf, np.nan):
+                with pytest.raises(ValueError, match="t_ij must be finite"):
+                    psi_hat(1, 1, t_ij, b)
 
     def test_held_spectrum_matches_per_call_formula(self):
         pts = np.random.default_rng(32).normal(size=(1000, 2)) * [1.0, 2.0]
@@ -319,6 +324,11 @@ class TestSelector2D:
             gamma_2d(0.01, 2, b, 2)
         with pytest.raises(ValueError):
             gamma_2d(-1.0, 4, b, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (np.inf, np.nan):
+                with pytest.raises(ValueError, match="t must be finite"):
+                    gamma_2d(t, 4, b, 2)
 
 
 class TestGaussKde2D:
